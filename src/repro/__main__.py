@@ -595,7 +595,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = sim.resume(args.instructions)
     elif args.trace_out or args.metrics_out or args.sample_interval:
         # Trace/metrics export needs the live observer object, which a
-        # cached replay or pool worker cannot provide: run in-process,
+        # cached replay or worker process cannot provide: run in-process,
         # bypassing the engine (identical results either way).
         workload_arg = ref
         if ":" in ref:
@@ -1116,7 +1116,7 @@ def _install_signal_handlers():
     """Route SIGINT/SIGTERM through one exception; returns a restorer.
 
     Both signals become a :class:`_SignalExit` so every cleanup path —
-    pool/supervisor shutdown, the engine's ``interrupted`` journal
+    supervisor shutdown, the engine's ``interrupted`` journal
     record, incremental cache commits — runs exactly as it does for a
     plain ctrl-C, and ``main`` can still exit ``128 + signum``.
     """

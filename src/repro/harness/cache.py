@@ -205,8 +205,8 @@ class ResultCache:
             "result": result,
             "sum": payload_checksum(result),
         }
-        # Unique per process, thread, and call: concurrent writers (pool
-        # workers, threaded benches) must never share a temp file.
+        # Unique per process, thread, and call: concurrent writers (worker
+        # processes, threaded benches) must never share a temp file.
         tmp = path.with_name(
             f".{path.name}.tmp.{os.getpid()}."
             f"{threading.get_ident()}.{next(_tmp_counter)}"

@@ -7,9 +7,12 @@ proven equivalent by ``tests/test_engine_equivalence.py``:
 
 * **in-process** (``workers=1``) — each job runs exactly like the legacy
   ``run_simulation`` call it replaces;
-* **parallel** (``workers=N``) — jobs fan out over a
-  ``ProcessPoolExecutor``; results are pickled back and re-ordered into
-  submission order, so output never depends on completion order;
+* **supervised** (``workers=N``) — same-prefix chains fan out over
+  :class:`~repro.harness.supervisor.WorkerSupervisor` processes, the
+  one multi-process backend, whose leases, heartbeats and poison
+  quarantine are the same code the chaos harness proves; outcomes land
+  at their submission index, so output never depends on completion
+  order;
 * **cached** — a :class:`~repro.harness.cache.ResultCache` hit replays
   the stored ``SimulationResult.to_dict()`` without simulating at all.
 
@@ -34,11 +37,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+# Unused by the engine: perfbench/ledger.py patches this name (--trace 1).
+from concurrent.futures import as_completed  # noqa: F401
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import (
@@ -57,15 +59,12 @@ from .cache import ResultCache
 from .journal import job_key
 from . import runner
 from .runner import SimulationResult
+from .supervisor import WorkerSupervisor
 
 _log = get_logger("engine")
 
 #: Sentinel distinguishing "use the default cache" from "no cache".
 _DEFAULT_CACHE = object()
-
-#: Times a chain may break the process pool before its unfinished jobs
-#: are recorded as crashed instead of resubmitted.
-MAX_POOL_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -278,10 +277,6 @@ class JobOutcome:
     #: Committed-instruction count of the checkpoint this run resumed
     #: from (None: ran cold or replayed from the result cache).
     resumed_from: Optional[int] = None
-    #: Worker-side telemetry spans (serialised dicts), carried back with
-    #: the pickled outcome on the pool path; None when telemetry is off
-    #: or the worker streamed them live (supervised path).
-    spans: Optional[List[Dict]] = None
 
     @property
     def ok(self) -> bool:
@@ -304,8 +299,6 @@ class EngineStats:
     jobs_retried: int = 0
     #: Jobs quarantined as poison after repeated strikes.
     jobs_quarantined: int = 0
-    #: Times a broken process pool was rebuilt mid-sweep.
-    pool_rebuilds: int = 0
     #: Sum of the original wall time of every cache hit.
     wall_time_saved_s: float = 0.0
     wall_time_spent_s: float = 0.0
@@ -346,7 +339,7 @@ def _execute_job(
     (corrupt file, stale stamp) silently degrades to a cold run.
 
     This is the single simulation seam for both the in-process path and
-    pool workers; the baseline-reuse regression test counts invocations
+    supervised workers; the baseline-reuse regression test counts invocations
     through ``runner.Simulation``.
     """
     from ..checkpoint import CheckpointStore, restore as restore_snapshot
@@ -457,9 +450,10 @@ def _execute_job(
     return result, elapsed, resumed_from
 
 
-def _error_record(job: SimJob, exc: BaseException, retried: bool) -> Dict:
+def _error_record(workload: str, exc: BaseException, retried: bool) -> Dict:
+    """The structured record a failed job leaves in a figure's errors."""
     record = {
-        "workload": job.workload,
+        "workload": workload,
         "type": type(exc).__name__,
         "error": str(exc),
     }
@@ -475,7 +469,7 @@ def _worker(
     recorder: Optional[SpanRecorder] = None,
     context: Optional[TraceContext] = None,
 ) -> JobOutcome:
-    """Pool entry point: isolate failures into records (picklable)."""
+    """Run one job, isolating failures into records (picklable)."""
 
     def execute() -> Tuple[SimulationResult, float, Optional[int]]:
         # The recovery test suite monkeypatches ``_execute_job`` with
@@ -504,60 +498,11 @@ def _worker(
                 )
             except Exception as retry_exc:
                 return JobOutcome(
-                    error=_error_record(job, retry_exc, retried=True)
+                    error=_error_record(job.workload, retry_exc, retried=True)
                 )
-        return JobOutcome(error=_error_record(job, exc, retried=False))
-
-
-#: Test seam for the broken-pool regression suite: when set to a path,
-#: the first pool worker to claim it (O_EXCL) dies with ``os._exit`` —
-#: the exact failure mode ``ProcessPoolExecutor`` reports as
-#: ``BrokenProcessPool``.  Inherited by fork and spawn children alike
-#: because it rides the environment.
-_ENV_CRASH_ONCE = "REPRO_TEST_CRASH_ONCE"
-
-
-def _maybe_crash_for_test() -> None:
-    latch = os.environ.get(_ENV_CRASH_ONCE)
-    if not latch:
-        return
-    try:
-        fd = os.open(latch, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except OSError:
-        return
-    os.close(fd)
-    os._exit(13)
-
-
-def _worker_chain(
-    jobs: List[SimJob],
-    ckpt_root: Optional[str],
-    resume_ok: bool,
-    sweep_id: Optional[str] = None,
-) -> List[JobOutcome]:
-    """Run same-prefix jobs sequentially, ascending by budget.
-
-    The jobs share a checkpoint prefix, so each run's end snapshot seeds
-    the next one through the on-disk store: a multi-budget sweep pays
-    for its longest member plus deltas instead of the sum of budgets.
-    Submitted to the pool as one unit so the chain's data locality is
-    not lost to scheduling.
-
-    With a ``sweep_id`` (telemetry on) each job records its spans into a
-    buffering worker-side recorder and carries them home attached to the
-    pickled outcome — the pool path has no live channel back.
-    """
-    _maybe_crash_for_test()
-    if sweep_id is None:
-        return [_worker(job, ckpt_root, resume_ok) for job in jobs]
-    recorder = SpanRecorder(TraceContext(sweep_id), role="worker")
-    outcomes: List[JobOutcome] = []
-    for job in jobs:
-        context = TraceContext(sweep_id, job_key(job.spec()))
-        outcome = _worker(job, ckpt_root, resume_ok, recorder, context)
-        outcome.spans = recorder.drain()
-        outcomes.append(outcome)
-    return outcomes
+        return JobOutcome(
+            error=_error_record(job.workload, exc, retried=False)
+        )
 
 
 class ExperimentEngine:
@@ -565,8 +510,9 @@ class ExperimentEngine:
 
     ``workers=1`` (the default) runs jobs sequentially in-process —
     bit-identical to the legacy serial harness.  ``workers=N`` fans the
-    uncached jobs out over N processes.  Either way ``run()`` returns
-    one :class:`JobOutcome` per job **in submission order**.
+    uncached jobs out over N supervised worker processes.  Either way
+    ``run()`` returns one :class:`JobOutcome` per job **in submission
+    order**.
     """
 
     def __init__(
@@ -577,7 +523,6 @@ class ExperimentEngine:
         metrics: Optional[MetricsRegistry] = None,
         checkpoints: Union["CheckpointStore", None, object] = _DEFAULT_CACHE,
         journal=None,
-        supervised: bool = False,
         chaos=None,
         retry=None,
         lease_s: float = 300.0,
@@ -619,34 +564,28 @@ class ExperimentEngine:
         #: None journals nothing.
         self.journal = journal
         #: A bound ChaosSchedule accumulating injection counters, or
-        #: None.  Chaos kills workers, so it forces the supervised path
-        #: — an in-process SIGKILL would take the whole sweep down.
+        #: None.  Chaos kills workers, so it forces supervised workers
+        #: even for one job — an in-process SIGKILL would take the whole
+        #: sweep down.
         self.chaos = None
+        self._chaos_plan = None
         if chaos is not None:
             from ..faults.chaos import ChaosPlan
 
-            plan = chaos if isinstance(chaos, ChaosPlan) else None
-            if plan is None:
+            if not isinstance(chaos, ChaosPlan):
                 raise ReproError(
                     f"chaos must be a ChaosPlan, got {chaos!r}"
                 )
-            self._chaos_plan = plan
-            supervised = True
-        else:
-            self._chaos_plan = None
-        self.supervisor = None
-        if supervised:
-            from .supervisor import WorkerSupervisor
-
-            self.supervisor = WorkerSupervisor(
-                workers=self.workers,
-                lease_s=lease_s,
-                heartbeat_s=heartbeat_s,
-                retry=retry,
-                journal=self.journal,
-                metrics=self.metrics,
-                telemetry=self.telemetry,
-            )
+            self._chaos_plan = chaos
+        self.supervisor = WorkerSupervisor(
+            workers=self.workers,
+            lease_s=lease_s,
+            heartbeat_s=heartbeat_s,
+            retry=retry,
+            journal=self.journal,
+            metrics=self.metrics,
+            telemetry=self.telemetry,
+        )
 
     # ------------------------------------------------------------------
     def run(
@@ -665,11 +604,7 @@ class ExperimentEngine:
         outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
         keys: List[Optional[str]] = [None] * len(jobs)
         hub = self.telemetry
-        jkeys = [job_key(job.spec()) for job in jobs] if (
-            self.journal is not None
-            or self._chaos_plan is not None
-            or hub is not None
-        ) else [None] * len(jobs)
+        jkeys = [job_key(job.spec()) for job in jobs]
         if hub is not None:
             hub.sweep_started(self.workers)
         pending: List[int] = []
@@ -721,9 +656,7 @@ class ExperimentEngine:
                     ok=outcome.ok,
                     cached=outcome.cached,
                     cycles=outcome.result.cycles if outcome.ok else 0.0,
-                    spans=outcome.spans,
                 )
-                outcome.spans = None
             if outcome.ok and keys[index] is not None:
                 self.cache.put(
                     keys[index],
@@ -738,12 +671,12 @@ class ExperimentEngine:
 
         if pending:
             try:
-                if self.supervisor is not None:
+                if self._chaos_plan is not None or (
+                    self.workers > 1 and len(pending) > 1
+                ):
                     self._run_supervised(
                         jobs, pending, outcomes, jkeys, commit
                     )
-                elif self.workers > 1 and len(pending) > 1:
-                    self._run_pool(jobs, pending, outcomes, jkeys, commit)
                 else:
                     for index in pending:
                         self._journal_event("start", jkeys[index])
@@ -859,7 +792,7 @@ class ExperimentEngine:
         Same-prefix jobs become one sequential chain (ascending by
         budget — ``pending`` is already sorted): each member's end
         snapshot seeds the next through the on-disk store.  Distinct
-        prefixes still fan out across the pool.
+        prefixes still fan out across workers.
         """
         ckpt_root = self._ckpt_root
         if ckpt_root is None:
@@ -873,145 +806,6 @@ class ExperimentEngine:
             by_prefix.setdefault(prefix, []).append(index)
         return list(by_prefix.values())
 
-    def _run_pool(
-        self,
-        jobs: Sequence[SimJob],
-        pending: List[int],
-        outcomes: List[Optional[JobOutcome]],
-        jkeys: Sequence[Optional[str]],
-        commit: Callable[[int, Optional[JobOutcome]], None],
-    ) -> None:
-        """The plain (unsupervised) fan-out path.
-
-        A broken pool — one worker SIGKILLed or ``os._exit``ing tears
-        down every sibling future in a ``ProcessPoolExecutor`` — no
-        longer loses the batch: completed chains are committed, the pool
-        is rebuilt, and only unfinished chains are resubmitted.  A chain
-        that keeps breaking the pool is given up on after
-        :data:`MAX_POOL_ATTEMPTS` tries and recorded as crashed.
-        """
-        ckpt_root = self._ckpt_root
-        resume_ok = not self.refresh
-        hub = self.telemetry
-        sweep_id = hub.sweep_id if hub is not None else None
-        remaining = self._chains(jobs, pending)
-        attempts: Dict[Tuple[int, ...], int] = {}
-
-        def record_chain(chain, results) -> None:
-            for index, outcome in zip(chain, results):
-                outcomes[index] = outcome
-                commit(index, outcome)
-                self._journal_outcome(jkeys[index], outcome)
-
-        while remaining:
-            workers = min(self.workers, len(remaining))
-            pool = ProcessPoolExecutor(max_workers=workers)
-            broken = False
-            try:
-                futures = {}
-                for chain in remaining:
-                    for index in chain:
-                        self._journal_event("start", jkeys[index])
-                        if hub is not None:
-                            hub.job_scheduled(
-                                jkeys[index],
-                                attempt=attempts.get(tuple(chain), 0),
-                                worker="pool",
-                            )
-                    # sweep_id is passed only when telemetry is live:
-                    # recovery tests monkeypatch ``_worker_chain`` with
-                    # legacy three-argument fakes.
-                    chain_args = (
-                        [jobs[index] for index in chain],
-                        ckpt_root,
-                        resume_ok,
-                    )
-                    if sweep_id is not None:
-                        chain_args += (sweep_id,)
-                    futures[pool.submit(
-                        _worker_chain, *chain_args
-                    )] = tuple(chain)
-                for future in as_completed(futures):
-                    chain = futures[future]
-                    try:
-                        results = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        break
-                    except Exception as exc:
-                        # A job whose *payload* failed (unpicklable
-                        # result, say) yields records, not a crashed
-                        # sweep — and not a retry, it would fail again.
-                        results = [
-                            JobOutcome(error=_error_record(
-                                jobs[index], exc, retried=False
-                            ))
-                            for index in chain
-                        ]
-                    record_chain(chain, results)
-                # Sweep up futures that finished before a break.
-                if broken:
-                    for future, chain in futures.items():
-                        if outcomes[chain[0]] is not None:
-                            continue
-                        if not future.done() or future.cancelled():
-                            continue
-                        try:
-                            record_chain(chain, future.result())
-                        except Exception:
-                            pass
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            pool.shutdown(wait=False, cancel_futures=True)
-            if not broken:
-                break
-            self.stats.pool_rebuilds += 1
-            _log.warning(
-                "worker pool broke; rebuilding and resubmitting "
-                "unfinished chains"
-            )
-            next_round: List[List[int]] = []
-            for chain in remaining:
-                if outcomes[chain[0]] is not None:
-                    continue
-                chain_id = tuple(chain)
-                strikes = attempts.get(chain_id, 0) + 1
-                attempts[chain_id] = strikes
-                quarantining = strikes >= MAX_POOL_ATTEMPTS
-                for index in chain:
-                    self._journal_event(
-                        "reclaimed", jkeys[index],
-                        reason="BrokenProcessPool", attempts=strikes,
-                    )
-                    if hub is not None:
-                        hub.job_reclaimed(
-                            jkeys[index], attempt=strikes,
-                            reason="BrokenProcessPool",
-                            retrying=not quarantining,
-                        )
-                self.stats.leases_reclaimed += len(chain)
-                if quarantining:
-                    exc = WorkerCrashError(
-                        f"chain crashed the worker pool {strikes} times"
-                    )
-                    for index in chain:
-                        outcomes[index] = JobOutcome(
-                            error=_error_record(
-                                jobs[index], exc, retried=True
-                            )
-                        )
-                        self._journal_event(
-                            "quarantined", jkeys[index],
-                            error=outcomes[index].error,
-                        )
-                        commit(index, outcomes[index])
-                    self.stats.jobs_quarantined += len(chain)
-                else:
-                    self.stats.jobs_retried += len(chain)
-                    next_round.append(chain)
-            remaining = next_round
-
     def _run_supervised(
         self,
         jobs: Sequence[SimJob],
@@ -1020,7 +814,7 @@ class ExperimentEngine:
         jkeys: Sequence[Optional[str]],
         commit: Callable[[int, Optional[JobOutcome]], None],
     ) -> None:
-        """The crash-safe path: chains under the worker supervisor."""
+        """The multi-process path: chains under the worker supervisor."""
         chains = self._chains(jobs, pending)
         schedule = self._chaos_schedule(
             [jkeys[index] for index in pending]
@@ -1047,7 +841,7 @@ class ExperimentEngine:
                 if outcome is None:
                     outcome = JobOutcome(
                         error=_error_record(
-                            jobs[index],
+                            jobs[index].workload,
                             WorkerCrashError(
                                 "job never produced an outcome"
                             ),
@@ -1093,7 +887,6 @@ class ExperimentEngine:
         metrics.gauge("engine.jobs_quarantined").set(
             self.stats.jobs_quarantined
         )
-        metrics.gauge("engine.pool_rebuilds").set(self.stats.pool_rebuilds)
         metrics.gauge("engine.wall_time_saved_s").set(
             self.stats.wall_time_saved_s
         )

@@ -27,6 +27,7 @@ from ..workloads.registry import BENCHMARK_NAMES
 from .charts import sparkline
 from .engine import (
     ExperimentEngine,
+    _error_record,
     make_job,
     run_workload_groups,
 )
@@ -37,7 +38,8 @@ from .report import (
     render_table,
     speedup_percent,
 )
-from .runner import Simulation, run_simulation
+from .runner import Simulation
+from .sweep import _engine
 
 #: Environment knobs for the bench harness.
 ENV_INSTRUCTIONS = "REPRO_BENCH_INSTRUCTIONS"
@@ -45,17 +47,6 @@ ENV_WARMUP = "REPRO_BENCH_WARMUP"
 ENV_WORKLOADS = "REPRO_BENCH_WORKLOADS"
 
 _T = TypeVar("_T")
-
-
-def _error_record(workload: str, exc: Exception, retried: bool) -> Dict:
-    record = {
-        "workload": workload,
-        "type": type(exc).__name__,
-        "error": str(exc),
-    }
-    if retried:
-        record["retried"] = True
-    return record
 
 
 def run_isolated(
@@ -87,11 +78,6 @@ def _with_errors(table: str, errors: List[Dict]) -> str:
     if not errors:
         return table
     return table + "\n\n" + render_errors(errors)
-
-
-def _engine(engine: Optional[ExperimentEngine]) -> ExperimentEngine:
-    """The caller's engine, or a fresh serial one with the default cache."""
-    return engine if engine is not None else ExperimentEngine()
 
 
 def bench_instructions(default: int = 120_000) -> int:

@@ -1,12 +1,12 @@
 """Supervised worker fleet: heartbeats, wall-time leases, and
 lease-expiry reclamation over per-chain worker processes.
 
-The plain pool path (:meth:`ExperimentEngine._run_pool`) is fine when
-workers are well behaved: a ``ProcessPoolExecutor`` fans chains out and
-the only failure it must survive is a broken pool.  The supervisor is
-the path for a *hostile* world — the one the chaos harness creates on
-purpose — where a worker can be SIGKILLed mid-job, hang forever, or die
-silently between jobs of a chain:
+The supervisor is the engine's only multi-process backend: every
+``workers > 1`` sweep runs under it, so production sweeps run the same
+recovery code the chaos harness proves.  It is built for a *hostile*
+world — the one the chaos harness creates on purpose — where a worker
+can be SIGKILLed mid-job, hang forever, or die silently between jobs of
+a chain:
 
 * each dispatch is its **own process** holding one chain of same-prefix
   jobs, reporting per-job results over a pipe as they complete, so a
@@ -14,9 +14,9 @@ silently between jobs of a chain:
   already committed parent-side);
 * a daemon thread in the worker sends **heartbeats**; the parent tracks
   liveness and exposes it as fleet-health gauges;
-* every job runs under a **wall-time lease**.  A worker that holds a
-  job past its lease is presumed hung: the supervisor SIGKILLs it,
-  revokes the lease, and *reclaims* the job;
+* every job runs under a **wall-time lease** sized from its budget.  A
+  worker that holds a job past its lease is presumed hung: the
+  supervisor SIGKILLs it, revokes the lease, and *reclaims* the job;
 * reclaimed jobs re-dispatch under a structured :class:`RetryPolicy`
   (exponential backoff with seeded jitter).  A job that takes down
   ``max_attempts`` workers in a row is **poison**: it is quarantined
@@ -48,6 +48,29 @@ from ..errors import (
 from ..logutil import get_logger
 
 _log = get_logger("supervisor")
+
+#: Lease seconds granted per simulated instruction on top of ``lease_s``
+#: (a floor of 10k instructions/s, several times slower than the
+#: simulator runs), so a long job is never mistaken for a hung one.
+LEASE_S_PER_INSTRUCTION = 1e-4
+
+#: Test seam for the worker-crash regression suite: when set to a path,
+#: the first worker to claim it (O_EXCL) dies with ``os._exit`` before
+#: reporting anything.  Inherited by fork and spawn children alike
+#: because it rides the environment.
+_ENV_CRASH_ONCE = "REPRO_TEST_CRASH_ONCE"
+
+
+def _maybe_crash_for_test() -> None:
+    latch = os.environ.get(_ENV_CRASH_ONCE)
+    if not latch:
+        return
+    try:
+        fd = os.open(latch, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except OSError:
+        return
+    os.close(fd)
+    os._exit(13)
 
 
 @dataclass(frozen=True)
@@ -102,6 +125,7 @@ def _child_main(
     """
     from .engine import _worker
 
+    _maybe_crash_for_test()
     stop = threading.Event()
 
     def beat() -> None:
@@ -300,11 +324,11 @@ class WorkerSupervisor:
             proc.start()
             send.close()  # parent keeps only the receive end
             self.dispatches += 1
-            now = self._clock()
             self._active[unit_id] = _Handle(
                 unit_id=unit_id, proc=proc, conn=recv,
                 base=unit.next_index,
-                lease_deadline=now + self.lease_s, last_beat=now,
+                lease_deadline=self._lease_deadline(unit),
+                last_beat=self._clock(),
             )
             self._journal("start", unit.keys[unit.next_index])
             if self.telemetry is not None:
@@ -366,13 +390,24 @@ class WorkerSupervisor:
             self.telemetry.workers_busy(len(self._active), self.workers)
             self.telemetry.maybe_flush()
 
+    def _lease_deadline(self, unit: _Unit) -> float:
+        """When the lease on the unit's next job runs out."""
+        lease = self.lease_s
+        if not unit.done:
+            budget = unit.jobs[unit.next_index].total_budget()
+            lease += budget * LEASE_S_PER_INSTRUCTION
+        return self._clock() + lease
+
     def _poll_timeout(self, states, queue) -> float:
         now = self._clock()
         horizon = now + self.heartbeat_s
         for handle in self._active.values():
             horizon = min(horizon, handle.lease_deadline)
-        for unit_id in queue:
-            horizon = min(horizon, states[unit_id].ready_at)
+        if len(self._active) < self.workers:
+            # Queued units can only launch into a free slot; with every
+            # slot busy, a finishing worker wakes the wait by itself.
+            for unit_id in queue:
+                horizon = min(horizon, states[unit_id].ready_at)
         return min(max(horizon - now, 0.01), 0.5)
 
     # ------------------------------------------------------------------
@@ -395,7 +430,7 @@ class WorkerSupervisor:
                 index = handle.base + position
                 unit.outcomes[index] = payload
                 unit.next_index = max(unit.next_index, index + 1)
-                handle.lease_deadline = self._clock() + self.lease_s
+                handle.lease_deadline = self._lease_deadline(unit)
                 key = unit.keys[index]
                 if payload is not None and payload.ok:
                     self._journal(
@@ -474,7 +509,7 @@ class WorkerSupervisor:
                 strikes=attempts,
             )
             outcome = JobOutcome(
-                error=_error_record(job, poison, retried=True)
+                error=_error_record(job.workload, poison, retried=True)
             )
             outcome.error["strikes"] = attempts
             unit.outcomes[position] = outcome

@@ -48,6 +48,7 @@ class AblationResult:
 
 
 def _engine(engine: Optional[ExperimentEngine]) -> ExperimentEngine:
+    """The caller's engine, or a fresh serial one with the default cache."""
     return engine if engine is not None else ExperimentEngine()
 
 
@@ -299,8 +300,8 @@ def ablation_repair_budget(
 
     The multiplier is a real config field
     (``TridentConfig.repair_budget_multiplier``) rather than the class
-    monkeypatch this sweep once used: a patch would neither reach pool
-    workers nor show up in the cache key.
+    monkeypatch this sweep once used: a patch would neither reach worker
+    processes nor show up in the cache key.
     """
     result = AblationResult(
         title="Ablation: repair budget multiplier (paper: 2x max distance)"

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import sys
-from typing import Optional
 
 _ROOT_NAME = "repro"
 
@@ -69,8 +68,3 @@ def reset_logging() -> None:
         root.removeHandler(handler)
     root.setLevel(logging.NOTSET)
     root.propagate = True
-
-
-def level_of(logger: Optional[logging.Logger] = None) -> int:
-    """Effective level of the repro tree (diagnostics)."""
-    return (logger or logging.getLogger(_ROOT_NAME)).getEffectiveLevel()

@@ -69,17 +69,6 @@ def write_jsonl(events: Iterable[TraceEvent], path: str) -> int:
     return count
 
 
-def read_jsonl(path: str) -> List[Dict]:
-    """Load a JSONL export back into dicts (tooling / tests)."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 def _track_for(event: TraceEvent) -> int:
     kind = event.kind
     if kind in _CORE_KINDS:
@@ -262,7 +251,7 @@ def fleet_chrome_trace(
 
     Where :func:`chrome_trace` maps one simulation's cycles onto one
     Perfetto process, this maps the *fleet*: each recording OS process
-    (the engine, every pool/supervised worker) becomes a Perfetto
+    (the engine, every supervised worker) becomes a Perfetto
     process, and within a process each job gets its own track, numbered
     in first-seen order by a per-process
     :class:`~repro.trident.TraceIdAllocator` so two exports of the same

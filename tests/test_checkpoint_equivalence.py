@@ -10,7 +10,7 @@ consumed by another session.
 
 Also proven here: the observer's event stream and metrics of a resumed
 run match the cold run's (the observer rides inside the snapshot), and
-the engine's pooled checkpoint chains return cold-identical payloads
+the engine's multi-worker checkpoint chains return cold-identical payloads
 while actually resuming.
 """
 

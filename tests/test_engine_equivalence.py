@@ -6,7 +6,7 @@ For a grid of (workload, policy) pairs, the full
 
 * the legacy serial ``run_simulation`` call,
 * the engine in-process (``workers=1``),
-* the engine fanned out over a process pool (``workers=4``),
+* the engine fanned out over supervised workers (``workers=4``),
 * a cached replay (second engine run over the same warm cache).
 
 Any divergence — float re-derivation, pickling loss, nondeterministic

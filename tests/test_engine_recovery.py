@@ -1,5 +1,5 @@
-"""Engine recovery paths: broken-pool rebuilds, interrupt flushing, the
-CLI's clean SIGINT/SIGTERM exits, and resume-sweep."""
+"""Engine recovery paths: crashed supervised workers, interrupt
+flushing, the CLI's clean SIGINT/SIGTERM exits, and resume-sweep."""
 
 from __future__ import annotations
 
@@ -10,9 +10,11 @@ import pytest
 
 from repro.__main__ import main
 from repro.harness import engine as engine_mod
+from repro.harness import supervisor as supervisor_mod
 from repro.harness.cache import ResultCache
 from repro.harness.engine import ExperimentEngine, make_job
 from repro.harness.journal import JobJournal, job_key
+from repro.harness.supervisor import RetryPolicy
 
 BUDGET = 2_000
 WARMUP = 200
@@ -25,28 +27,29 @@ def _jobs(workloads=("art", "dot", "mcf")):
     ]
 
 
-def _always_crash(jobs, ckpt_root, resume_ok):
-    """Module-level (picklable) stand-in for ``_worker_chain`` that dies
-    the way a segfaulting worker does."""
+def _always_crash(send, jobs, *args):
+    """Module-level (picklable) stand-in for the supervisor's
+    ``_child_main`` that dies the way a segfaulting worker does."""
     os._exit(13)
 
 
 class TestBrokenPool:
+    """A worker of a plain ``--jobs N`` sweep dies: no chaos plan, so
+    this is the production path, not the chaos harness."""
+
     def test_one_dying_worker_no_longer_loses_the_batch(
         self, tmp_path, monkeypatch
     ):
-        """Regression: a worker calling ``os._exit`` breaks the whole
-        ``ProcessPoolExecutor``; the engine must rebuild the pool and
-        resubmit only the chains that never finished."""
+        """Regression: one worker calling ``os._exit`` must not lose the
+        batch; the supervisor reclaims and retries only its job."""
         monkeypatch.setenv(
-            engine_mod._ENV_CRASH_ONCE, str(tmp_path / "latch")
+            supervisor_mod._ENV_CRASH_ONCE, str(tmp_path / "latch")
         )
         engine = ExperimentEngine(
             workers=2, cache=ResultCache(tmp_path / "cache")
         )
         outcomes = engine.run(_jobs())
         assert all(outcome.ok for outcome in outcomes)
-        assert engine.stats.pool_rebuilds == 1
         assert engine.stats.leases_reclaimed >= 1
         assert engine.stats.jobs_retried >= 1
         assert engine.stats.jobs_quarantined == 0
@@ -54,24 +57,24 @@ class TestBrokenPool:
     def test_persistent_crasher_is_quarantined_not_looped(
         self, tmp_path, monkeypatch
     ):
-        """A chain that breaks the pool on every attempt ends as an
-        error record after MAX_POOL_ATTEMPTS, not an infinite loop."""
-        monkeypatch.setattr(engine_mod, "_worker_chain", _always_crash)
+        """A chain that crashes its worker on every attempt ends as
+        poison records after ``max_attempts`` strikes, not a loop."""
+        monkeypatch.setattr(supervisor_mod, "_child_main", _always_crash)
         engine = ExperimentEngine(
             workers=2, cache=ResultCache(tmp_path / "cache")
         )
         outcomes = engine.run(_jobs(("art", "dot")))
         assert all(not outcome.ok for outcome in outcomes)
         assert all(
-            outcome.error["type"] == "WorkerCrashError"
+            outcome.error["type"] == "PoisonJobError"
+            and outcome.error["strikes"] == RetryPolicy().max_attempts
             for outcome in outcomes
         )
-        assert engine.stats.pool_rebuilds == engine_mod.MAX_POOL_ATTEMPTS
         assert engine.stats.jobs_quarantined == 2
 
     def test_journal_records_pool_reclaims(self, tmp_path, monkeypatch):
         monkeypatch.setenv(
-            engine_mod._ENV_CRASH_ONCE, str(tmp_path / "latch")
+            supervisor_mod._ENV_CRASH_ONCE, str(tmp_path / "latch")
         )
         journal = JobJournal(tmp_path / "j", fsync=False)
         engine = ExperimentEngine(

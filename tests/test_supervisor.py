@@ -3,6 +3,8 @@ lease expiry on hangs, structured retry, and poison quarantine."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.errors import PoisonJobError, classify, PERMANENT, POISON, TRANSIENT
 from repro.faults.chaos import ChaosDecision, ChaosPlan, ChaosSchedule
 from repro.harness.engine import make_job
@@ -136,6 +138,26 @@ class TestLeases:
         # Heartbeats flowed while the worker hung: liveness and
         # progress are separate signals.
         assert supervisor.heartbeats >= 1
+
+    def test_lease_grows_with_job_budget(self):
+        """A long job is granted a proportionally longer lease, so only
+        a hung worker outlives it."""
+        from repro.harness.supervisor import LEASE_S_PER_INSTRUCTION, _Unit
+
+        supervisor = WorkerSupervisor(lease_s=10.0, clock=lambda: 100.0)
+        short = _job(max_instructions=1_000)
+        long = _job(max_instructions=10_000_000)
+        unit = _Unit(jobs=[short, long], keys=["a", "b"],
+                     outcomes=[None, None])
+        assert supervisor._lease_deadline(unit) == pytest.approx(
+            110.0 + short.total_budget() * LEASE_S_PER_INSTRUCTION
+        )
+        unit.next_index = 1
+        assert supervisor._lease_deadline(unit) == pytest.approx(
+            110.0 + long.total_budget() * LEASE_S_PER_INSTRUCTION
+        )
+        unit.next_index = 2  # chain finished: the bare lease
+        assert supervisor._lease_deadline(unit) == 110.0
 
 
 class TestPoison:

@@ -411,6 +411,8 @@ class TestTelemetryEndToEnd:
         return engine, hub, journal, results
 
     def test_pool_results_identical_and_spans_cover(self, tmp_path):
+        # Multi-worker runs go through the supervisor; the name is kept
+        # from the pool backend it used to cover.
         _, _, _, baseline = self._run(tmp_path, "off", workers=2)
         engine, hub, journal, results = self._run(
             tmp_path, "on", telemetry=True, workers=2
@@ -424,12 +426,11 @@ class TestTelemetryEndToEnd:
     def test_supervised_streams_spans_live(self, tmp_path):
         _, _, _, baseline = self._run(tmp_path, "off2", workers=2)
         engine, hub, journal, results = self._run(
-            tmp_path, "sup", telemetry=True, workers=2, supervised=True,
+            tmp_path, "sup", telemetry=True, workers=2
         )
         assert results == baseline
         assert spans_cover_journal(hub.spans(), journal.recover()) == []
-        # Supervised workers stream: spans were ingested, none rode a
-        # pickled outcome.
+        # Workers stream: every worker span was ingested over the pipe.
         assert hub.ingested > 0
         # The interval sampler's windows arrived live in the ring.
         assert hub.ring.summary()["total_emitted"] > 0
