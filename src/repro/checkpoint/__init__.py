@@ -10,6 +10,7 @@ from .snapshot import (
     FORMAT_VERSION,
     Snapshot,
     canonical_dumps,
+    canonical_loads,
     capture,
     is_quiescent,
     restore,
@@ -21,6 +22,7 @@ __all__ = [
     "Snapshot",
     "CheckpointStore",
     "canonical_dumps",
+    "canonical_loads",
     "capture",
     "is_quiescent",
     "prefix_spec",

@@ -16,15 +16,16 @@ both:
   along inside the snapshot.)
 * **The serialized form is canonical.**  The payload is a pickle whose
   bytes depend only on *values*, never on object identity accidents:
-  every ``set``/``frozenset`` is reduced through sorted element lists
-  (a restored set's iteration order differs from the original's
-  insertion order), and strings are never memoized — CPython interns
-  attribute names and literals, so equal strings are one shared object
-  in a freshly built graph but many distinct objects in an unpickled
-  one, and identity-keyed memoization would encode that difference into
-  the bytes.  (The simulation itself never iterates its persisted sets
-  in a timing-relevant order; the property tests hold capture
-  idempotence to byte equality.)
+  the C pickler's ``persistent_id`` hook replaces every string by the
+  first equal instance of the dump (CPython interns attribute names and
+  literals, so equal strings are one shared object in a freshly built
+  graph but many distinct objects in an unpickled one, and the
+  identity-keyed memo would encode that difference into the bytes) and
+  every ``set``/``frozenset`` by its sorted elements (a restored set's
+  iteration order differs from the original's insertion order).  (The
+  simulation itself never iterates its persisted sets in a
+  timing-relevant order; the property tests hold capture idempotence to
+  byte equality.)
 
 Volatile derived state is excluded by ``__getstate__`` hooks on its
 owners: the fast interpreter's compiled handler closures (``SMTCore``,
@@ -59,7 +60,7 @@ from ..harness.cache import code_version
 
 #: Bumped whenever the frame layout or the pickled object graph changes
 #: incompatibly; part of the header, checked on load.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Frame magic ("RePro ChecKpoint").
 MAGIC = b"RPCK"
@@ -72,7 +73,7 @@ _HEADER_LEN = struct.Struct(">I")
 _ZLIB_LEVEL = 1
 
 
-def _sorted_elements(values):
+def _sorted_elements(values) -> list:
     """Elements of a set in a deterministic order.
 
     Persisted simulator sets hold homogeneous ints (load PCs); ``repr``
@@ -85,137 +86,160 @@ def _sorted_elements(values):
         return sorted(values, key=repr)
 
 
-#: Lists shorter than this go through the generic pickler; longer
-#: homogeneous numeric lists (workload memory images, data arrays) take
-#: the packed ``array`` fast path, which dominates payload size.
+#: Lists and dicts shorter than this go through the generic pickler;
+#: longer homogeneous numeric ones (workload memory images, data arrays)
+#: pack through :mod:`array`, which dominates payload size.
 _PACK_MIN = 256
 
 
-def _restore_int_list(data: bytes) -> list:
-    return list(array.array("q", data))
+def _sort_set(obj):
+    return (type(obj).__name__, _sorted_elements(obj))
 
 
-def _restore_float_list(data: bytes) -> list:
-    return list(array.array("d", data))
+def _pack_list(obj: list):
+    kinds = set(map(type, obj))
+    if kinds == {int}:
+        try:
+            return ("ilist", array.array("q", obj).tobytes())
+        except OverflowError:
+            return None  # arbitrary-precision outlier: generic path
+    if kinds == {float}:
+        return ("flist", array.array("d", obj).tobytes())
+    return None
 
 
-def _restore_int_dict(keys: bytes, values: bytes) -> dict:
-    # zip preserves the packed (insertion) order, so the restored dict
-    # iterates identically to the captured one.
-    return dict(zip(array.array("q", keys), array.array("q", values)))
+def _pack_dict(obj: dict):
+    # The dominant graph component is main memory: a plain dict of int
+    # word address -> int/float word value, up to ~1M entries.  Keys and
+    # values pack in insertion order, so the restored dict iterates
+    # identically to the captured one.
+    if set(map(type, obj)) != {int}:
+        return None
+    kinds = set(map(type, obj.values()))
+    if kinds == {int}:
+        tag, code = "idict", "q"
+    elif kinds == {float}:
+        tag, code = "fdict", "d"
+    else:
+        return None
+    try:
+        return (
+            tag,
+            array.array("q", obj).tobytes(),
+            array.array(code, obj.values()).tobytes(),
+        )
+    except OverflowError:
+        return None  # arbitrary-precision outlier: generic path
 
 
-def _restore_int_float_dict(keys: bytes, values: bytes) -> dict:
-    return dict(zip(array.array("q", keys), array.array("d", values)))
+#: Container type -> encoder returning its persistent id, or None to
+#: leave the object to the generic pickler.
+_ENCODERS = {
+    set: _sort_set,
+    frozenset: _sort_set,
+    list: _pack_list,
+    dict: _pack_dict,
+}
 
 
-class _CanonicalPickler(pickle._Pickler):
-    """Pickler producing identical bytes for equal object graphs.
+def _load_pid(pid):
+    """The object a (non-string) persistent id stands for."""
+    tag = pid[0]
+    if tag == "set" or tag == "frozenset":
+        (_, elements) = pid
+        return (set if tag == "set" else frozenset)(elements)
+    if tag == "ilist" or tag == "flist":
+        (_, data) = pid
+        return list(array.array("q" if tag == "ilist" else "d", data))
+    if tag == "idict" or tag == "fdict":
+        (_, keys, values) = pid
+        return dict(
+            zip(
+                array.array("q", keys),
+                array.array("q" if tag == "idict" else "d", values),
+            )
+        )
+    raise pickle.UnpicklingError(f"unknown persistent id tag {tag!r}")
 
-    Built on the pure-Python pickler because canonicalisation needs two
-    hooks the C pickler does not expose:
 
-    * ``memoize`` is skipped for ``str``.  The memo is keyed on object
-      identity, and equal strings do not have stable identity across a
-      pickle round trip (attribute names and literals are interned in a
-      live process; unpickled strings are not).  Unmemoized strings are
-      re-emitted per occurrence — a few percent of payload that zlib
-      reclaims — and the bytes become pure functions of value.
-    * ``set``/``frozenset`` serialise as sorted element lists; their
-      native opcodes (``ADDITEMS``/``FROZENSET``) write insertion order,
-      which differs between an original and a restored set.
+class _Pickler(pickle.Pickler):
+    """The C pickler, made to produce identical bytes for equal graphs.
 
-    Dict ordering is already deterministic (simulation dicts are built in
-    deterministic insertion order, and unpickling preserves it).  The
-    pickle memo keeps every non-string shared reference shared — a
-    PrefetchRecord aliased across several record-map keys stays one
-    object after restore.
+    Its memo is keyed on object identity, and identity does not survive
+    a round trip, so :meth:`persistent_id` takes over the objects whose
+    identity or iteration order is an accident:
 
-    The pure-Python walk would be slow on the multi-megabyte workload
-    arrays, so exact-type homogeneous int/float lists of ``_PACK_MIN``
-    or more elements pack through :mod:`array` at C speed (host-endian:
-    snapshots are same-machine artifacts, keyed by a local code-version
-    stamp, never shipped across architectures).
+    * Every ``str`` becomes the first equal instance seen in this dump,
+      emitted as a persistent id.  Attribute names and literals are one
+      interned object in a live process but many distinct objects after
+      unpickling; mapped by value, memo hits depend only on values.
+    * ``set``/``frozenset`` become sorted element lists; their native
+      opcodes write insertion order, which differs between an original
+      and a restored set.
+    * Exact-type homogeneous int/float lists and int-keyed dicts of
+      ``_PACK_MIN`` or more elements pack through :mod:`array`
+      (host-endian: snapshots are same-machine artifacts, keyed by a
+      local code-version stamp, never shipped across architectures).
+
+    Each replaced container maps to one pid object per dump (the ``id``
+    table below), so the pickler memoizes the pid and an aliased set or
+    list restores as one shared object.  Dict ordering is already
+    deterministic: simulation dicts are built in deterministic insertion
+    order, and unpickling preserves it.
     """
 
-    dispatch = pickle._Pickler.dispatch.copy()
+    def __init__(self, file) -> None:
+        super().__init__(file, protocol=4)
+        self._strings: Dict[str, str] = {}
+        #: id(container) -> (container, pid or None); holding the
+        #: container keeps its id from being reused mid-dump.
+        self._pids: Dict[int, tuple] = {}
 
-    def memoize(self, obj):
-        if type(obj) is str:
-            return
-        super().memoize(obj)
+    def persistent_id(self, obj):
+        kind = type(obj)
+        if kind is str:
+            return self._strings.setdefault(obj, obj)
+        encode = _ENCODERS.get(kind)
+        if encode is None or (
+            (kind is list or kind is dict) and len(obj) < _PACK_MIN
+        ):
+            return None
+        seen = self._pids.get(id(obj))
+        if seen is None:
+            seen = self._pids[id(obj)] = (obj, encode(obj))
+        return seen[1]
 
-    def save_set(self, obj):
-        self.save_reduce(set, (_sorted_elements(obj),), obj=obj)
 
-    dispatch[set] = save_set
+class _Unpickler(pickle.Unpickler):
+    """Reads :class:`_Pickler` output back into live objects."""
 
-    def save_frozenset(self, obj):
-        self.save_reduce(frozenset, (_sorted_elements(obj),), obj=obj)
+    def __init__(self, file) -> None:
+        super().__init__(file)
+        #: id(pid) -> (pid, object): a memoized pid comes back as the
+        #: same tuple, and must come back as the same object.
+        self._loaded: Dict[int, tuple] = {}
 
-    dispatch[frozenset] = save_frozenset
-
-    def save_list(self, obj):
-        if len(obj) >= _PACK_MIN:
-            kinds = set(map(type, obj))
-            if kinds == {int}:
-                try:
-                    packed = array.array("q", obj)
-                except OverflowError:
-                    pass  # arbitrary-precision outlier: generic path
-                else:
-                    self.save_reduce(
-                        _restore_int_list, (packed.tobytes(),), obj=obj
-                    )
-                    return
-            elif kinds == {float}:
-                packed = array.array("d", obj)
-                self.save_reduce(
-                    _restore_float_list, (packed.tobytes(),), obj=obj
-                )
-                return
-        pickle._Pickler.save_list(self, obj)
-
-    dispatch[list] = save_list
-
-    def save_dict(self, obj):
-        # The dominant graph component is main memory: a plain dict of
-        # int word address -> int/float word value, up to ~1M entries.
-        if len(obj) >= _PACK_MIN and set(map(type, obj.keys())) == {int}:
-            value_kinds = set(map(type, obj.values()))
-            try:
-                if value_kinds == {int}:
-                    self.save_reduce(
-                        _restore_int_dict,
-                        (
-                            array.array("q", obj.keys()).tobytes(),
-                            array.array("q", obj.values()).tobytes(),
-                        ),
-                        obj=obj,
-                    )
-                    return
-                if value_kinds == {float}:
-                    self.save_reduce(
-                        _restore_int_float_dict,
-                        (
-                            array.array("q", obj.keys()).tobytes(),
-                            array.array("d", obj.values()).tobytes(),
-                        ),
-                        obj=obj,
-                    )
-                    return
-            except OverflowError:
-                pass  # arbitrary-precision outlier: generic path
-        pickle._Pickler.save_dict(self, obj)
-
-    dispatch[dict] = save_dict
+    def persistent_load(self, pid):
+        if type(pid) is str:
+            return pid
+        if type(pid) is not tuple or not pid:
+            raise pickle.UnpicklingError(f"malformed persistent id {pid!r}")
+        seen = self._loaded.get(id(pid))
+        if seen is None:
+            seen = self._loaded[id(pid)] = (pid, _load_pid(pid))
+        return seen[1]
 
 
 def canonical_dumps(obj) -> bytes:
-    """Pickle ``obj`` with canonical (sorted) set serialisation."""
+    """Pickle ``obj`` into bytes that depend only on its values."""
     buffer = io.BytesIO()
-    _CanonicalPickler(buffer, protocol=4).dump(obj)
+    _Pickler(buffer).dump(obj)
     return buffer.getvalue()
+
+
+def canonical_loads(data: bytes):
+    """Inverse of :func:`canonical_dumps`."""
+    return _Unpickler(io.BytesIO(data)).load()
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +366,7 @@ def restore(snapshot: Snapshot):
             f"{code_version()[:12]}...)"
         )
     try:
-        sim = pickle.loads(zlib.decompress(snapshot.payload))
+        sim = canonical_loads(zlib.decompress(snapshot.payload))
     except Exception as exc:
         raise CheckpointError(f"corrupt checkpoint payload: {exc}")
     core = getattr(sim, "core", None)

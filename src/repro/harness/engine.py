@@ -6,7 +6,8 @@ specs and executes them through three interchangeable paths that are
 proven equivalent by ``tests/test_engine_equivalence.py``:
 
 * **in-process** (``workers=1``) — each job runs exactly like the legacy
-  ``run_simulation`` call it replaces;
+  ``run_simulation`` call it replaces, except that one ``run()`` builds
+  each workload once and gives every job a private copy of its memory;
 * **supervised** (``workers=N``) — same-prefix chains fan out over
   :class:`~repro.harness.supervisor.WorkerSupervisor` processes, the
   one multi-process backend, whose leases, heartbeats and poison
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 import time
 # Unused by the engine: perfbench/ledger.py patches this name (--trace 1).
 from concurrent.futures import as_completed  # noqa: F401
@@ -55,6 +57,7 @@ from ..logutil import get_logger
 from ..obs import MetricsRegistry, Observer
 from ..obs.spans import SpanRecorder, TraceContext
 from ..obs.telemetry import format_engine_summary
+from ..workloads.base import Workload
 from .cache import ResultCache
 from .journal import job_key
 from . import runner
@@ -322,12 +325,70 @@ class EngineStats:
         )
 
 
+def _build_workload(job: SimJob) -> Workload:
+    """Build the runnable workload a cold start of ``job`` simulates.
+
+    External sources travel as data on the job and are rebuilt here, in
+    whatever process executes it.
+    """
+    if job.scenario is not None or job.trace is not None:
+        from ..scenarios import materialize_workload
+
+        return materialize_workload(job.scenario, job.trace, job.config.seed)
+    return runner.build_workload(job.workload, job.config.seed)
+
+
+def _source_key(job: SimJob) -> str:
+    """Jobs with equal keys start from identical built workloads."""
+    return json.dumps(
+        [job.workload, job.scenario, job.trace, job.config.seed],
+        sort_keys=True,
+    )
+
+
+class _WorkloadMemo:
+    """One workload build per source for the jobs of one in-process run.
+
+    Building a data-heavy program (mcf: ~1M memory words) costs far more
+    than copying its memory, and a figure runs each program under
+    several policies.  Simulation only ever writes a workload's
+    :class:`DataMemory` — the program is read-only — so every job gets
+    the shared program plus a private copy of the built memory words.
+
+    ``expected`` lists the source key of each job expected to start
+    cold; an entry is dropped when its last expected cold start takes
+    it (that job gets the built workload itself, uncopied), so at most
+    the sources still ahead stay resident.  A job that starts cold
+    unexpectedly (its checkpoint was unusable) builds its own.  The
+    memo belongs to one ``ExperimentEngine.run`` call and dies with it.
+    """
+
+    def __init__(self, expected: Sequence[str]) -> None:
+        self._uses: Dict[str, int] = {}
+        for key in expected:
+            self._uses[key] = self._uses.get(key, 0) + 1
+        self._built: Dict[str, Workload] = {}
+
+    def take(self, job: SimJob) -> Workload:
+        key = _source_key(job)
+        uses = self._uses.pop(key, 0)
+        if uses <= 1:
+            built = self._built.pop(key, None)
+            return built if built is not None else _build_workload(job)
+        self._uses[key] = uses - 1
+        built = self._built.get(key)
+        if built is None:
+            built = self._built[key] = _build_workload(job)
+        return dataclasses.replace(built, memory=built.memory.copy())
+
+
 def _execute_job(
     job: SimJob,
     ckpt_root: Optional[str] = None,
     resume_ok: bool = True,
     recorder: Optional[SpanRecorder] = None,
     context: Optional[TraceContext] = None,
+    workloads: Optional[_WorkloadMemo] = None,
 ) -> Tuple[SimulationResult, float, Optional[int]]:
     """Run one job to completion (no isolation).
 
@@ -340,7 +401,8 @@ def _execute_job(
 
     This is the single simulation seam for both the in-process path and
     supervised workers; the baseline-reuse regression test counts invocations
-    through ``runner.Simulation``.
+    through ``runner.Simulation``.  ``workloads`` (in-process runs only)
+    serves cold starts from the run's shared builds.
     """
     from ..checkpoint import CheckpointStore, restore as restore_snapshot
 
@@ -407,19 +469,10 @@ def _execute_job(
         )
     try:
         if sim is None:
-            workload = job.workload
-            if job.scenario is not None or job.trace is not None:
-                # External sources travel as data on the job; the
-                # runnable Workload is rebuilt here, in whatever
-                # process executes the job (Simulation accepts the
-                # object in place of a registry name).
-                from ..scenarios import materialize_workload
-
-                workload = materialize_workload(
-                    job.scenario, job.trace, job.config.seed
-                )
             sim = runner.Simulation(
-                workload,
+                _build_workload(job)
+                if workloads is None
+                else workloads.take(job),
                 job.config,
                 initial_distance_mode=job.initial_distance_mode,
                 fault_plan=job.fault_plan,
@@ -468,16 +521,14 @@ def _worker(
     resume_ok: bool = True,
     recorder: Optional[SpanRecorder] = None,
     context: Optional[TraceContext] = None,
+    workloads: Optional[_WorkloadMemo] = None,
 ) -> JobOutcome:
     """Run one job, isolating failures into records (picklable)."""
 
     def execute() -> Tuple[SimulationResult, float, Optional[int]]:
-        # The recovery test suite monkeypatches ``_execute_job`` with
-        # legacy three-argument fakes; the telemetry arguments are only
-        # passed when a recorder is live.
-        if recorder is None:
-            return _execute_job(job, ckpt_root, resume_ok)
-        return _execute_job(job, ckpt_root, resume_ok, recorder, context)
+        return _execute_job(
+            job, ckpt_root, resume_ok, recorder, context, workloads
+        )
 
     try:
         result, elapsed, resumed = execute()
@@ -678,6 +729,14 @@ class ExperimentEngine:
                         jobs, pending, outcomes, jkeys, commit
                     )
                 else:
+                    # Only the head of each same-prefix chain is expected
+                    # to start cold: the rest resume from its snapshots.
+                    workloads = _WorkloadMemo(
+                        [
+                            _source_key(jobs[chain[0]])
+                            for chain in self._chains(jobs, pending)
+                        ]
+                    )
                     for index in pending:
                         self._journal_event("start", jkeys[index])
                         if hub is not None:
@@ -685,7 +744,7 @@ class ExperimentEngine:
                                 jkeys[index], worker="in-process"
                             )
                         outcomes[index] = self._run_inprocess(
-                            jobs[index], isolate, jkey=jkeys[index]
+                            jobs[index], isolate, jkeys[index], workloads
                         )
                         commit(index, outcomes[index])
                         self._journal_outcome(
@@ -761,7 +820,11 @@ class ExperimentEngine:
         )
 
     def _run_inprocess(
-        self, job: SimJob, isolate: bool, jkey: Optional[str] = None
+        self,
+        job: SimJob,
+        isolate: bool,
+        jkey: Optional[str] = None,
+        workloads: Optional[_WorkloadMemo] = None,
     ) -> JobOutcome:
         resume_ok = not self.refresh
         recorder = context = None
@@ -771,18 +834,16 @@ class ExperimentEngine:
             recorder = self.telemetry.recorder
             context = self.telemetry.job_context(jkey)
         if not isolate:
-            if recorder is None:
-                result, elapsed, resumed = _execute_job(
-                    job, self._ckpt_root, resume_ok
-                )
-            else:
-                result, elapsed, resumed = _execute_job(
-                    job, self._ckpt_root, resume_ok, recorder, context
-                )
+            result, elapsed, resumed = _execute_job(
+                job, self._ckpt_root, resume_ok, recorder, context,
+                workloads,
+            )
             return JobOutcome(
                 result=result, elapsed_s=elapsed, resumed_from=resumed
             )
-        return _worker(job, self._ckpt_root, resume_ok, recorder, context)
+        return _worker(
+            job, self._ckpt_root, resume_ok, recorder, context, workloads
+        )
 
     def _chains(
         self, jobs: Sequence[SimJob], pending: List[int]

@@ -224,6 +224,18 @@ class SimulationResult:
         )
 
 
+def build_workload(name: str, seed: int) -> Workload:
+    """Build the builtin workload ``name`` (:class:`ConfigError` when
+    there is no such builtin)."""
+    try:
+        return load_workload(name, seed=seed)
+    except KeyError:
+        raise ConfigError(
+            f"unknown workload {name!r}; known: "
+            + ", ".join(BENCHMARK_NAMES)
+        ) from None
+
+
 class Simulation:
     """One configured run of one workload."""
 
@@ -237,13 +249,7 @@ class Simulation:
     ) -> None:
         self.config = config or SimulationConfig()
         if isinstance(workload, str):
-            try:
-                workload = load_workload(workload, seed=self.config.seed)
-            except KeyError:
-                raise ConfigError(
-                    f"unknown workload {workload!r}; known: "
-                    + ", ".join(BENCHMARK_NAMES)
-                ) from None
+            workload = build_workload(workload, self.config.seed)
         elif not isinstance(workload, Workload):
             raise ConfigError(
                 f"workload must be a name or a Workload, got {workload!r}"

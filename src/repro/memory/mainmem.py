@@ -61,6 +61,13 @@ class DataMemory:
     def __len__(self) -> int:
         return len(self._words)
 
+    def copy(self) -> "DataMemory":
+        """An independent memory holding the same words."""
+        clone = DataMemory()
+        clone._words = dict(self._words)
+        clone.unmapped_reads = self.unmapped_reads
+        return clone
+
     def write_array(self, base: int, values: Iterable[Number]) -> None:
         """Write consecutive words starting at ``base``."""
         addr = self._align(base)

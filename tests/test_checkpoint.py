@@ -15,7 +15,9 @@ any unusable checkpoint as a miss and runs cold.
 
 from __future__ import annotations
 
+import io
 import json
+import pickle
 import zlib
 
 import pytest
@@ -24,6 +26,8 @@ from repro.checkpoint import (
     FORMAT_VERSION,
     CheckpointStore,
     Snapshot,
+    canonical_dumps,
+    canonical_loads,
     capture,
     is_quiescent,
     prune,
@@ -164,6 +168,195 @@ class TestCorruption:
         ).run()
         assert json.dumps(outcome.result.to_dict()) == json.dumps(
             cold.to_dict()
+        )
+
+
+class _Node:
+    """A hand-built graph vertex (module level, so it pickles)."""
+
+    def __init__(self, label, **fields):
+        self.label = label
+        self.__dict__.update(fields)
+
+
+def _distinct(text: str) -> str:
+    """An equal string that is not the same object as ``text``."""
+    copy = "".join(list(text))
+    assert copy == text and copy is not text
+    return copy
+
+
+class TestCanonicalSerializer:
+    """Invariants of the snapshot pickler, on graphs built by hand."""
+
+    def test_equal_strings_with_distinct_identity_give_equal_bytes(self):
+        name = "delinquent-load"
+        shared = [name, name, {name: name}]
+        distinct = [_distinct(name), _distinct(name), {_distinct(name): name}]
+        assert canonical_dumps(shared) == canonical_dumps(distinct)
+
+    def test_set_insertion_history_does_not_reach_the_bytes(self):
+        # Multiples of a large power of two collide in the hash table,
+        # so these equal sets iterate in their insertion orders.
+        pcs = [pc * 4096 for pc in range(300)]
+        forward, backward = set(pcs), set(reversed(pcs))
+        assert forward == backward and list(forward) != list(backward)
+        small = [pc * 1024 for pc in range(5)]
+        small_forward, small_backward = set(small), set(reversed(small))
+        assert list(small_forward) != list(small_backward)
+
+        def graph(big, little):
+            return {"sets": [big, frozenset(big)], "small": little}
+
+        assert canonical_dumps(graph(forward, small_forward)) == (
+            canonical_dumps(graph(backward, small_backward))
+        )
+
+    def test_aliased_containers_restore_shared(self):
+        pcs = {7, 3, 5}
+        words = list(range(1_000))  # packed through array
+        trail = [1, 2, 3]  # generic path
+        restored = canonical_loads(
+            canonical_dumps(
+                _Node("root", a=pcs, b=pcs, c=words, d=words, e=trail,
+                      f=trail, g=(words, pcs))
+            )
+        )
+        assert restored.a is restored.b
+        assert restored.c is restored.d
+        assert restored.e is restored.f
+        assert restored.g[0] is restored.c and restored.g[1] is restored.a
+        assert restored.a == {3, 5, 7} and restored.c == words
+
+    @pytest.mark.parametrize("outlier", [True, 2 ** 70, 1.5])
+    def test_packable_containers_with_outliers_keep_exact_types(
+        self, outlier
+    ):
+        values = {8 * i: i for i in range(300)}
+        values[8 * 150] = outlier
+        items = list(range(300))
+        items[150] = outlier
+        keys = {i: 1.0 for i in range(300)}
+        keys[2 ** 70] = 1.0
+        restored_values, restored_items, restored_keys = canonical_loads(
+            canonical_dumps((values, items, keys))
+        )
+        for original, restored in (
+            (values, restored_values),
+            (keys, restored_keys),
+        ):
+            assert list(restored.items()) == list(original.items())
+            assert [type(k) for k in restored] == [type(k) for k in original]
+            assert [type(v) for v in restored.values()] == [
+                type(v) for v in original.values()
+            ]
+        assert restored_items == items
+        assert [type(v) for v in restored_items] == [type(v) for v in items]
+
+    def test_capture_restore_capture_is_byte_equal(self):
+        pcs = {40, 12, 33}
+        words = {8 * i: i * i for i in range(512)}
+        head = _Node("head", pcs=pcs, words=words, scale=[0.5] * 300)
+        tail = _Node("tail", pcs=pcs, prev=head, tags=frozenset({"a", "b"}))
+        head.next = tail
+        graph = {"nodes": [head, tail], "by_pc": {pc: head for pc in pcs}}
+        first = canonical_dumps(graph)
+        restored = canonical_loads(first)
+        assert canonical_dumps(restored) == first
+        assert restored["nodes"][0].next is restored["nodes"][1]
+        assert restored["nodes"][1].pcs is restored["nodes"][0].pcs
+        assert list(restored["nodes"][0].words.items()) == list(words.items())
+
+
+def _payload_with_pid(pid) -> bytes:
+    """A compressed pickle of ``[_Node]`` whose node is the persistent id
+    ``pid`` — a payload no capture ever writes."""
+
+    class Forger(pickle.Pickler):
+        def persistent_id(self, obj):
+            return pid if isinstance(obj, _Node) else None
+
+    buffer = io.BytesIO()
+    Forger(buffer, protocol=4).dump([_Node("forged")])
+    return zlib.compress(buffer.getvalue())
+
+
+#: Persistent ids the snapshot format never writes.
+BAD_PIDS = [
+    ("bogus", b""),
+    ("set",),
+    ("idict", b"\x00" * 8),
+    (),
+    42,
+]
+
+
+class TestPersistentIdErrors:
+    @pytest.fixture(scope="class")
+    def frame(self):
+        return capture(_run_sim("art", PrefetchPolicy.SELF_REPAIRING))
+
+    @pytest.mark.parametrize("pid", BAD_PIDS, ids=repr)
+    def test_bad_persistent_id_refuses_restore(self, frame, pid):
+        payload = _payload_with_pid(pid)
+        tampered = Snapshot(
+            header=dict(frame.header, payload_bytes=len(payload)),
+            payload=payload,
+        )
+        parsed = Snapshot.from_bytes(tampered.to_bytes())
+        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+            restore(parsed)
+
+    def test_version_one_frames_are_unsupported(self, frame):
+        assert FORMAT_VERSION == 2
+        old = Snapshot(header=dict(frame.header, format=1),
+                       payload=frame.payload)
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint format 1"
+        ):
+            Snapshot.from_bytes(old.to_bytes())
+
+    def test_engine_runs_cold_off_unknown_persistent_ids(self, tmp_path):
+        """A stored snapshot whose payload holds an unknown tag parses,
+        fails to restore, and the engine runs the cell cold instead."""
+        job = make_job(
+            "art",
+            policy=PrefetchPolicy.SELF_REPAIRING,
+            max_instructions=1_000,
+            warmup_instructions=WARMUP,
+        )
+        ExperimentEngine(
+            cache=None, checkpoints=CheckpointStore(tmp_path)
+        ).run([job], isolate=False)
+        ckpts = list((tmp_path / "checkpoints").rglob("*.ckpt"))
+        assert ckpts
+        payload = _payload_with_pid(("bogus", b""))
+        for path in ckpts:
+            frame = Snapshot.from_bytes(path.read_bytes())
+            path.write_bytes(
+                Snapshot(
+                    header=dict(frame.header, payload_bytes=len(payload)),
+                    payload=payload,
+                ).to_bytes()
+            )
+
+        longer = make_job(
+            "art",
+            policy=PrefetchPolicy.SELF_REPAIRING,
+            max_instructions=2_000,
+            warmup_instructions=WARMUP,
+        )
+        engine = ExperimentEngine(
+            cache=None, checkpoints=CheckpointStore(tmp_path)
+        )
+        outcome = engine.run([longer], isolate=False)[0]
+        assert outcome.resumed_from is None
+        assert engine.stats.jobs_resumed == 0
+        cold = ExperimentEngine(cache=None, checkpoints=None).run(
+            [longer], isolate=False
+        )[0]
+        assert json.dumps(outcome.result.to_dict()) == json.dumps(
+            cold.result.to_dict()
         )
 
 

@@ -1,0 +1,129 @@
+"""One workload build per program per in-process ``ExperimentEngine.run``.
+
+A figure runs each program under several policies.  The in-process path
+builds each distinct workload source once per ``run()`` call and hands
+every job the shared (read-only) program plus a private copy of the
+built memory words.  These tests pin the contract: one build per
+program, results byte-identical to one engine per job, no memory write
+leaking from one job into the next, and nothing built outliving the
+call.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import weakref
+
+import pytest
+
+from repro.checkpoint import CheckpointStore
+from repro.config import PrefetchPolicy
+from repro.harness import runner
+from repro.harness.engine import ExperimentEngine, make_job
+
+#: wupwise stores into its memory as it runs; dot starts from a 96k-word
+#: memory image, so its private copies are not trivially empty.
+PROGRAMS = ("wupwise", "dot")
+POLICIES = (
+    PrefetchPolicy.HW_ONLY,
+    PrefetchPolicy.BASIC,
+    PrefetchPolicy.WHOLE_OBJECT,
+    PrefetchPolicy.SELF_REPAIRING,
+)
+
+
+def _jobs():
+    return [
+        make_job(
+            name, policy=policy, max_instructions=1_500,
+            warmup_instructions=400,
+        )
+        for name in PROGRAMS
+        for policy in POLICIES
+    ]
+
+
+def _dumps(outcome) -> str:
+    assert outcome.ok, outcome.error
+    return json.dumps(outcome.result.to_dict(), sort_keys=True)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count builtin builds (by name) through the builder seam."""
+    counts = {}
+    real = runner.load_workload
+
+    def counting(name, seed=1):
+        counts[name] = counts.get(name, 0) + 1
+        return real(name, seed=seed)
+
+    monkeypatch.setattr(runner, "load_workload", counting)
+    return counts
+
+
+@pytest.mark.parametrize("store", [False, True], ids=["no-ckpt", "ckpt"])
+def test_one_build_per_program_and_identical_results(
+    builds, tmp_path, store
+):
+    checkpoints = CheckpointStore(tmp_path) if store else None
+    engine = ExperimentEngine(cache=None, checkpoints=checkpoints)
+    shared = engine.run(_jobs())
+    assert builds == {name: 1 for name in PROGRAMS}
+
+    builds.clear()
+    alone = [
+        ExperimentEngine(cache=None, checkpoints=None).run([job])[0]
+        for job in _jobs()
+    ]
+    assert builds == {name: len(POLICIES) for name in PROGRAMS}
+    assert [_dumps(o) for o in shared] == [_dumps(o) for o in alone]
+
+
+def test_memory_writes_stay_private(monkeypatch):
+    """Every job starts from the freshly built words, in its own memory
+    object, even though earlier jobs of the same program wrote theirs."""
+    started = []
+    real = runner.Simulation
+
+    class Recording(real):
+        def __init__(self, workload, *args, **kwargs):
+            super().__init__(workload, *args, **kwargs)
+            memory = self.workload.memory
+            started.append((self.workload.name, memory, dict(memory._words)))
+
+    monkeypatch.setattr(runner, "Simulation", Recording)
+    outcomes = ExperimentEngine(cache=None, checkpoints=None).run(_jobs())
+    assert all(outcome.ok for outcome in outcomes)
+    assert len(started) == len(PROGRAMS) * len(POLICIES)
+    assert len({id(memory) for _, memory, _ in started}) == len(started)
+
+    fresh = {
+        name: dict(runner.load_workload(name).memory._words)
+        for name in PROGRAMS
+    }
+    for name, _, initial in started:
+        assert list(initial.items()) == list(fresh[name].items())
+    # The property is not vacuous: jobs did write their memories.
+    assert any(memory._words != initial for _, memory, initial in started)
+
+
+def test_nothing_built_outlives_the_run(monkeypatch):
+    built = []
+    real = runner.load_workload
+
+    def tracking(name, seed=1):
+        workload = real(name, seed=seed)
+        built.append(weakref.ref(workload))
+        built.append(weakref.ref(workload.memory))
+        built.append(weakref.ref(workload.program))
+        return workload
+
+    monkeypatch.setattr(runner, "load_workload", tracking)
+    engine = ExperimentEngine(cache=None, checkpoints=None)
+    outcomes = engine.run(_jobs())
+    assert all(outcome.ok for outcome in outcomes)
+    gc.collect()
+    assert len(built) == 3 * len(PROGRAMS)
+    assert [ref() for ref in built] == [None] * len(built)
