@@ -142,8 +142,9 @@ class SMTCore:
         self._trace_entry_issue = 0.0
 
         # Fast-path state: per-PC decoded handlers + basic-block run
-        # lengths for the program (built lazily on the first run), and
-        # the handler list for the currently-executing trace.
+        # lengths for the program (tables made on the first run, each
+        # entry compiled on its first execution), and the handler list
+        # for the currently-executing trace.
         self._fast_handlers = None
         self._fast_block_len = None
         self._fast_batches = None
@@ -358,10 +359,10 @@ class SMTCore:
 
         # No per-step hooks: batched basic-block execution.  (Traces
         # cannot be active here — entering one requires a runtime.)
-        # Full blocks run as a single pre-compiled closure that keeps
-        # the scalar pipeline state in locals (see fastpath.compile_
-        # batches); clamped runs — budget tail or a watchdog boundary —
-        # fall back to stepping the per-instruction handlers.
+        # Full blocks run as a single closure, compiled on first entry,
+        # that keeps the scalar pipeline state in locals (see fastpath.
+        # compile_batches); clamped runs — budget tail or a watchdog
+        # boundary — fall back to stepping the per-instruction handlers.
         block_len = self._fast_block_len
         batches = self._fast_batches
         if batches is None:

@@ -14,7 +14,10 @@ loop-invariant operand (register indices, displacement, branch target,
 latency, hierarchy methods, stat objects) pre-bound.  ``SMTCore`` then
 executes ``handlers[pc]()`` per step, or a straight ``for`` over a
 basic block of pure-register handlers when no runtime/injector needs
-per-step hooks.
+per-step hooks.  Like Trident, which optimizes only the traces it sees
+run, nothing is compiled up front: each handler and batch is compiled
+on its first entry, so compile cost is proportional to the static code
+a core enters.
 
 Correctness contract: every closure replicates the corresponding branch
 of ``SMTCore._step_original`` / ``_step_trace`` *exactly* — same float
@@ -23,8 +26,16 @@ sites — so slow and fast paths produce byte-identical
 ``SimulationResult`` payloads.  ``tests/test_fastpath_equivalence.py``
 and the golden fixtures under ``tests/data/golden/`` enforce this.
 
-Mutability notes (why each capture is safe):
+Mutability notes (why each capture is safe).  A handler or batch may be
+compiled in any ``run()`` chunk, not only the first, so everything it
+captures must be fixed from the core's first ``run()`` on:
 
+* ``core.ctx``, ``core.runtime`` (with its ``helper`` and code-cache
+  patch map), ``core.memory``, ``core.hierarchy``, ``core.config`` (a
+  frozen dataclass) and ``core._issue_cost`` are bound before the first
+  ``run()`` and never reassigned.  A checkpoint restore builds a new
+  core whose tables start empty, so nothing compiled against the old
+  object graph survives it.
 * ``ctx.regs``, ``core._reg_ready``, ``core._rob``, ``core._loadq`` and
   ``core._bp_table`` are lists assigned once in their owners' ``__init__``
   and only ever mutated in place.
@@ -146,11 +157,44 @@ def block_lengths(instructions) -> list:
 # step is ONE function call.
 # ---------------------------------------------------------------------------
 def compile_program(core):
-    """Return ``(handlers, block_len)`` for ``core.program``."""
+    """Return ``(handlers, block_len)`` for ``core.program``.
+
+    Every handler slot starts as one shared stub that compiles the real
+    handler on its first call, stores it in the slot and runs it (see
+    :func:`_compile_on_entry`), so a core pays only for the static code
+    it enters.
+    """
     instructions = core.program.instructions
-    handlers = [_compile_original(core, pc, inst)
-                for pc, inst in enumerate(instructions)]
+    handlers = _compile_on_entry(
+        core, lambda pc: _compile_original(core, pc, instructions[pc]),
+        [True] * len(instructions),
+    )
     return handlers, block_lengths(instructions)
+
+
+def _compile_on_entry(core, compile_at, slots):
+    """A dispatch table whose live slots hold a compile-on-entry stub.
+
+    ``slots[pc]`` is truthy where the table needs an entry (``None``
+    elsewhere).  The stub reads the PC from ``core.ctx`` rather than
+    capturing it, which is safe because every call site invokes slot
+    ``pc`` only while ``ctx.pc == pc``: ``handlers[ctx.pc]()``,
+    ``batches[pc]()`` right after ``pc = ctx.pc``, and the clamped
+    ``handlers[pc:pc + n]`` walk, whose handlers each advance the PC by
+    exactly one.  The table stays a plain list, so hot dispatch is one
+    list subscript with no ``None`` check.
+    """
+    ctx = core.ctx
+    table = []
+
+    def stub():
+        pc = ctx.pc
+        fn = compile_at(pc)
+        table[pc] = fn
+        fn()
+
+    table.extend([stub if live else None for live in slots])
+    return table
 
 
 def _compile_original(core, pc, inst):
@@ -1241,6 +1285,14 @@ def compile_batches(core):
     run starting at ``pc``, or None where the run is a single
     instruction (the per-instruction handler wins there).
 
+    Like the handler table, each batch is compiled on its first entry.
+    A run can be entered part-way (a loop head inside it, or a budget,
+    chunk or watchdog boundary that split it), and each entry point
+    needs its own suffix batch.  The suffixes share one spec tuple per
+    run, extended backwards when an earlier entry first appears, so
+    every instruction is specced at most once per core: compile cost is
+    linear in the code entered, not quadratic in the run length.
+
     Only used by cores running without runtime/injector hooks, so the
     helper-interference check compiles away entirely (matching the
     per-instruction handlers, which compiled it away for the same
@@ -1248,33 +1300,26 @@ def compile_batches(core):
     """
     instructions = core.program.instructions
     lens = block_lengths(instructions)
-    batches = [None] * len(instructions)
-    for pc, ln in enumerate(lens):
-        if ln >= 2:
-            batches[pc] = _compile_batch(
-                core, pc, instructions[pc:pc + ln]
-            )
-    return batches
+    #: run end -> (first specced pc, specs from there to the end).
+    #: Every pc of a run shares the same end ``pc + lens[pc]``.
+    runs = {}
+
+    def compile_at(pc):
+        end = pc + lens[pc]
+        start, specs = runs.get(end, (end, ()))
+        if pc < start:
+            specs = _compile_batch(core, pc, instructions[pc:start]) + specs
+            start = pc
+            runs[end] = (start, specs)
+        return _batch_runner(core, specs[pc - start:], end)
+
+    return _compile_on_entry(core, compile_at, [ln >= 2 for ln in lens])
 
 
 def _compile_batch(core, pc, insts):
-    ctx = core.ctx
-    regs = ctx.regs
-    ready = core._reg_ready
-    rob = core._rob
-    rob_len = len(rob)
-    loadq = core._loadq
-    stats = core.stats
-    issue_cost = core._issue_cost
+    """The per-instruction spec tuples for ``insts``, starting at ``pc``."""
     read = core.memory.read
     read_quiet = core.memory.read_quiet
-    write = core.memory.write
-    hier_load = core.hierarchy.load
-    hier_store = core.hierarchy.store
-    hier_prefetch = core.hierarchy.software_prefetch
-    n = len(insts)
-    next_pc = pc + n
-
     specs = []
     for i, inst in enumerate(insts):
         op = inst.opcode
@@ -1310,7 +1355,25 @@ def _compile_batch(core, pc, insts):
             read_quiet if op is Opcode.LDQ_NF else read,
             inst,                           # PREFETCH reads disp live
         ))
-    specs = tuple(specs)
+    return tuple(specs)
+
+
+def _batch_runner(core, specs, next_pc):
+    """One closure running ``specs`` back to back, then jumping to
+    ``next_pc``."""
+    ctx = core.ctx
+    regs = ctx.regs
+    ready = core._reg_ready
+    rob = core._rob
+    rob_len = len(rob)
+    loadq = core._loadq
+    stats = core.stats
+    issue_cost = core._issue_cost
+    write = core.memory.write
+    hier_load = core.hierarchy.load
+    hier_store = core.hierarchy.store
+    hier_prefetch = core.hierarchy.software_prefetch
+    n = len(specs)
 
     def run_block():
         clock = core._issue_clock
