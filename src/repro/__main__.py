@@ -574,19 +574,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: cannot read snapshot: {exc}", file=sys.stderr)
             return 2
-        sim = restore(snapshot)
         expected = ref
         if ":" in ref:
             from .scenarios import resolve_job_source
 
             expected = resolve_job_source(ref)[0]
-        if sim.workload.name != expected:
+        # Checked before restoring: a restore rebuilds the workload.
+        origin = snapshot.header.get("origin") or [None]
+        if origin[0] != expected:
             print(
                 f"error: snapshot holds workload "
-                f"{sim.workload.name!r}, not {expected!r}",
+                f"{origin[0]!r}, not {expected!r}",
                 file=sys.stderr,
             )
             return 2
+        sim = restore(snapshot)
         print(
             f"resumed from {args.resume_from} at "
             f"{snapshot.committed} committed instructions",

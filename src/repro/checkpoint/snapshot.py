@@ -27,6 +27,14 @@ both:
   timing-relevant order; the property tests hold capture idempotence to
   byte equality.)
 
+A snapshot holds only the state a run created.  The workload's data
+memory (up to ~1M words) is almost all its build-time image, which a
+run barely writes, so the memory travels as its **origin** — the source
+key it was built from — plus the words written since the build.
+:func:`restore` replays those words onto a fresh build of the origin:
+one the caller already holds (the engine's shared build), or one it
+makes itself.
+
 Volatile derived state is excluded by ``__getstate__`` hooks on its
 owners: the fast interpreter's compiled handler closures (``SMTCore``,
 ``HotTrace._fast_cache``) are rebuilt on demand, and the watchdog's
@@ -38,10 +46,11 @@ The on-disk container is a small framed format::
 
 The header carries the format version, the code-version stamp of
 :func:`repro.harness.cache.code_version` (any source change invalidates
-every prior snapshot), and the progress coordinates (committed
-instructions, cycles) used for prefix lookup.  Anything that fails to
-parse — truncation, garbage, stale stamps — raises
-:class:`CheckpointError`, which every consumer converts to "run cold".
+every prior snapshot), the memory's origin, and the progress
+coordinates (committed instructions, cycles) used for prefix lookup.
+Anything that fails to parse — truncation, garbage, stale stamps —
+raises :class:`CheckpointError`, which every consumer converts to "run
+cold".
 """
 
 from __future__ import annotations
@@ -53,14 +62,15 @@ import pickle
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..errors import CheckpointError
 from ..harness.cache import code_version
+from ..memory.mainmem import DataMemory
 
 #: Bumped whenever the frame layout or the pickled object graph changes
 #: incompatibly; part of the header, checked on load.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Frame magic ("RePro ChecKpoint").
 MAGIC = b"RPCK"
@@ -86,9 +96,9 @@ def _sorted_elements(values) -> list:
         return sorted(values, key=repr)
 
 
-#: Lists and dicts shorter than this go through the generic pickler;
-#: longer homogeneous numeric ones (workload memory images, data arrays)
-#: pack through :mod:`array`, which dominates payload size.
+#: Lists shorter than this go through the generic pickler; longer
+#: homogeneous numeric ones (data arrays, predictor tables) pack through
+#: :mod:`array`.
 _PACK_MIN = 256
 
 
@@ -108,42 +118,35 @@ def _pack_list(obj: list):
     return None
 
 
-def _pack_dict(obj: dict):
-    # The dominant graph component is main memory: a plain dict of int
-    # word address -> int/float word value, up to ~1M entries.  Keys and
-    # values pack in insertion order, so the restored dict iterates
-    # identically to the captured one.
-    if set(map(type, obj)) != {int}:
+def _pack_memory(memory: DataMemory):
+    # The run's data memory is the built image of its origin plus the
+    # words written since; only those words travel.  An origin-less
+    # memory (hand-assembled, not from a builder) pickles whole.
+    if memory.origin is None:
         return None
-    kinds = set(map(type, obj.values()))
-    if kinds == {int}:
-        tag, code = "idict", "q"
-    elif kinds == {float}:
-        tag, code = "fdict", "d"
-    else:
-        return None
-    try:
-        return (
-            tag,
-            array.array("q", obj).tobytes(),
-            array.array(code, obj.values()).tobytes(),
-        )
-    except OverflowError:
-        return None  # arbitrary-precision outlier: generic path
+    addrs = sorted(memory.written)
+    words = memory._words
+    return (
+        "memory",
+        memory.origin,
+        addrs,
+        [words[addr] for addr in addrs],
+        memory.unmapped_reads,
+    )
 
 
-#: Container type -> encoder returning its persistent id, or None to
-#: leave the object to the generic pickler.
+#: Object type -> encoder returning its persistent id, or None to leave
+#: the object to the generic pickler.
 _ENCODERS = {
     set: _sort_set,
     frozenset: _sort_set,
     list: _pack_list,
-    dict: _pack_dict,
+    DataMemory: _pack_memory,
 }
 
 
 def _load_pid(pid):
-    """The object a (non-string) persistent id stands for."""
+    """The object a (non-string, non-memory) persistent id stands for."""
     tag = pid[0]
     if tag == "set" or tag == "frozenset":
         (_, elements) = pid
@@ -151,14 +154,6 @@ def _load_pid(pid):
     if tag == "ilist" or tag == "flist":
         (_, data) = pid
         return list(array.array("q" if tag == "ilist" else "d", data))
-    if tag == "idict" or tag == "fdict":
-        (_, keys, values) = pid
-        return dict(
-            zip(
-                array.array("q", keys),
-                array.array("q" if tag == "idict" else "d", values),
-            )
-        )
     raise pickle.UnpicklingError(f"unknown persistent id tag {tag!r}")
 
 
@@ -176,16 +171,18 @@ class _Pickler(pickle.Pickler):
     * ``set``/``frozenset`` become sorted element lists; their native
       opcodes write insertion order, which differs between an original
       and a restored set.
-    * Exact-type homogeneous int/float lists and int-keyed dicts of
-      ``_PACK_MIN`` or more elements pack through :mod:`array`
-      (host-endian: snapshots are same-machine artifacts, keyed by a
-      local code-version stamp, never shipped across architectures).
+    * Exact-type homogeneous int/float lists of ``_PACK_MIN`` or more
+      elements pack through :mod:`array` (host-endian: snapshots are
+      same-machine artifacts, keyed by a local code-version stamp, never
+      shipped across architectures).
+    * A built :class:`DataMemory` becomes its origin plus the words
+      written since the build, in address order.
 
-    Each replaced container maps to one pid object per dump (the ``id``
-    table below), so the pickler memoizes the pid and an aliased set or
-    list restores as one shared object.  Dict ordering is already
-    deterministic: simulation dicts are built in deterministic insertion
-    order, and unpickling preserves it.
+    Each replaced object maps to one pid object per dump (the ``id``
+    table below), so the pickler memoizes the pid and an aliased set,
+    list or memory restores as one shared object.  Dict ordering is
+    already deterministic: simulation dicts are built in deterministic
+    insertion order, and unpickling preserves it.
     """
 
     def __init__(self, file) -> None:
@@ -200,9 +197,7 @@ class _Pickler(pickle.Pickler):
         if kind is str:
             return self._strings.setdefault(obj, obj)
         encode = _ENCODERS.get(kind)
-        if encode is None or (
-            (kind is list or kind is dict) and len(obj) < _PACK_MIN
-        ):
+        if encode is None or (kind is list and len(obj) < _PACK_MIN):
             return None
         seen = self._pids.get(id(obj))
         if seen is None:
@@ -211,13 +206,22 @@ class _Pickler(pickle.Pickler):
 
 
 class _Unpickler(pickle.Unpickler):
-    """Reads :class:`_Pickler` output back into live objects."""
+    """Reads :class:`_Pickler` output back into live objects.
 
-    def __init__(self, file) -> None:
+    A memory persistent id resolves to ``base`` — a freshly built image
+    of the same origin — or, without one, to a new build of the origin.
+    The written words are replayed only once the whole stream has
+    loaded, so a restore that fails part-way leaves ``base`` untouched.
+    """
+
+    def __init__(self, file, base: Optional[DataMemory] = None) -> None:
         super().__init__(file)
         #: id(pid) -> (pid, object): a memoized pid comes back as the
         #: same tuple, and must come back as the same object.
         self._loaded: Dict[int, tuple] = {}
+        self._base = base
+        #: (memory, memory pid) pairs whose written words are pending.
+        self._patches: List[tuple] = []
 
     def persistent_load(self, pid):
         if type(pid) is str:
@@ -226,8 +230,49 @@ class _Unpickler(pickle.Unpickler):
             raise pickle.UnpicklingError(f"malformed persistent id {pid!r}")
         seen = self._loaded.get(id(pid))
         if seen is None:
-            seen = self._loaded[id(pid)] = (pid, _load_pid(pid))
+            obj = (
+                self._load_memory(pid) if pid[0] == "memory"
+                else _load_pid(pid)
+            )
+            seen = self._loaded[id(pid)] = (pid, obj)
         return seen[1]
+
+    def _load_memory(self, pid) -> DataMemory:
+        (_, origin, addrs, values, _unmapped_reads) = pid
+        if len(addrs) != len(values):
+            raise pickle.UnpicklingError("memory words and values differ")
+        memory, self._base = self._base, None
+        if memory is None:
+            memory = _build_origin(origin)
+        elif memory.origin != origin:
+            raise CheckpointError(
+                f"restore base was built from {memory.origin!r}, "
+                f"the snapshot from {origin!r}"
+            )
+        elif memory.written:
+            raise CheckpointError(
+                "restore base was already written; it is not a fresh build"
+            )
+        self._patches.append((memory, pid))
+        return memory
+
+    def load(self):
+        obj = super().load()
+        for memory, (_, _, addrs, values, unmapped_reads) in self._patches:
+            memory.apply_writes(addrs, values, unmapped_reads)
+        return obj
+
+
+def _build_origin(origin: str) -> DataMemory:
+    """A fresh memory image built from a recorded origin."""
+    from ..harness.runner import build_source
+
+    try:
+        return build_source(*json.loads(origin)).memory
+    except Exception as exc:
+        raise CheckpointError(
+            f"cannot rebuild memory origin {origin!r}: {exc}"
+        ) from exc
 
 
 def canonical_dumps(obj) -> bytes:
@@ -237,9 +282,9 @@ def canonical_dumps(obj) -> bytes:
     return buffer.getvalue()
 
 
-def canonical_loads(data: bytes):
-    """Inverse of :func:`canonical_dumps`."""
-    return _Unpickler(io.BytesIO(data)).load()
+def canonical_loads(data: bytes, base: Optional[DataMemory] = None):
+    """Inverse of :func:`canonical_dumps`; ``base`` as for :func:`restore`."""
+    return _Unpickler(io.BytesIO(data), base).load()
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +372,19 @@ def capture(sim) -> Snapshot:
     The snapshot is taken *before* the end-of-run drain and
     ``injector.finish`` — i.e. exactly the state a longer cold run would
     have when passing this committed count — so a checkpoint captured at
-    a run's own budget can seed any larger budget.
+    a run's own budget can seed any larger budget.  The workload's data
+    memory travels as its origin plus the words written since the
+    build, so a memory without an origin cannot be captured.
     """
     if not is_quiescent(sim):
         raise CheckpointError(
             "cannot capture: fault revert in flight "
             "(retry at the next quiescent boundary)"
+        )
+    origin = sim.workload.memory.origin
+    if origin is None:
+        raise CheckpointError(
+            "cannot capture: the workload memory records no build origin"
         )
     committed, cycles = sim.core.snapshot()
     payload = zlib.compress(canonical_dumps(sim), _ZLIB_LEVEL)
@@ -340,6 +392,7 @@ def capture(sim) -> Snapshot:
         "format": FORMAT_VERSION,
         "code_version": code_version(),
         "workload": sim.workload.name,
+        "origin": json.loads(origin),
         "policy": sim.config.policy.value,
         "warmup_instructions": sim.config.warmup_instructions,
         "committed": committed,
@@ -349,7 +402,7 @@ def capture(sim) -> Snapshot:
     return Snapshot(header=header, payload=payload)
 
 
-def restore(snapshot: Snapshot):
+def restore(snapshot: Snapshot, base: Optional[DataMemory] = None):
     """Rebuild a runnable :class:`Simulation` from ``snapshot``.
 
     Validates the code-version stamp (a snapshot from different sources
@@ -357,6 +410,13 @@ def restore(snapshot: Snapshot):
     and recompiles the one piece of stripped derived state that cannot
     wait for lazy rebuild: the fast interpreter's handler list for a
     trace that was mid-execution at capture time.
+
+    The data memory is ``base`` — a fresh, never-written build of the
+    snapshot's origin, which the run's written words are replayed onto —
+    or, when ``base`` is None, a new build of that origin.  A base of
+    another origin, or one already written, raises
+    :class:`CheckpointError`; it is never patched.  Any failure leaves
+    ``base`` as it was.
     """
     stamp = snapshot.header.get("code_version")
     if stamp != code_version():
@@ -366,7 +426,9 @@ def restore(snapshot: Snapshot):
             f"{code_version()[:12]}...)"
         )
     try:
-        sim = canonical_loads(zlib.decompress(snapshot.payload))
+        sim = canonical_loads(zlib.decompress(snapshot.payload), base)
+    except CheckpointError:
+        raise
     except Exception as exc:
         raise CheckpointError(f"corrupt checkpoint payload: {exc}")
     core = getattr(sim, "core", None)

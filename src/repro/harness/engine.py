@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import time
 # Unused by the engine: perfbench/ledger.py patches this name (--trace 1).
 from concurrent.futures import as_completed  # noqa: F401
@@ -57,7 +56,7 @@ from ..logutil import get_logger
 from ..obs import MetricsRegistry, Observer
 from ..obs.spans import SpanRecorder, TraceContext
 from ..obs.telemetry import format_engine_summary
-from ..workloads.base import Workload
+from ..workloads.base import Workload, source_key
 from .cache import ResultCache
 from .journal import job_key
 from . import runner
@@ -326,41 +325,37 @@ class EngineStats:
 
 
 def _build_workload(job: SimJob) -> Workload:
-    """Build the runnable workload a cold start of ``job`` simulates.
-
-    External sources travel as data on the job and are rebuilt here, in
-    whatever process executes it.
-    """
-    if job.scenario is not None or job.trace is not None:
-        from ..scenarios import materialize_workload
-
-        return materialize_workload(job.scenario, job.trace, job.config.seed)
-    return runner.build_workload(job.workload, job.config.seed)
+    """Build the workload ``job`` starts from (a cold start's image or
+    a resume's restore base)."""
+    return runner.build_source(
+        job.workload, job.scenario, job.trace, job.config.seed
+    )
 
 
 def _source_key(job: SimJob) -> str:
     """Jobs with equal keys start from identical built workloads."""
-    return json.dumps(
-        [job.workload, job.scenario, job.trace, job.config.seed],
-        sort_keys=True,
-    )
+    return source_key(job.workload, job.scenario, job.trace, job.config.seed)
 
 
 class _WorkloadMemo:
-    """One workload build per source for the jobs of one in-process run.
+    """One workload build per source for the jobs of one run or chain.
 
     Building a data-heavy program (mcf: ~1M memory words) costs far more
     than copying its memory, and a figure runs each program under
-    several policies.  Simulation only ever writes a workload's
-    :class:`DataMemory` — the program is read-only — so every job gets
-    the shared program plus a private copy of the built memory words.
+    several policies and budgets.  Simulation only ever writes a
+    workload's :class:`DataMemory` — the program is read-only — so every
+    job gets the shared program plus a private copy of the built memory
+    words.  A cold start runs on that copy; a resume hands it to
+    ``restore`` as the base image the snapshot's written words are
+    replayed onto.
 
-    ``expected`` lists the source key of each job expected to start
-    cold; an entry is dropped when its last expected cold start takes
-    it (that job gets the built workload itself, uncopied), so at most
-    the sources still ahead stay resident.  A job that starts cold
-    unexpectedly (its checkpoint was unusable) builds its own.  The
-    memo belongs to one ``ExperimentEngine.run`` call and dies with it.
+    ``expected`` lists the source key of every job expected to take a
+    build; an entry is dropped when its last expected job takes it
+    (that job gets the built workload itself, uncopied), so at most the
+    sources still ahead stay resident.  A job taking a build again (a
+    transient-failure retry) builds its own.  The memo belongs to one
+    ``ExperimentEngine.run`` call, or to one supervised chain, and dies
+    with it.
     """
 
     def __init__(self, expected: Sequence[str]) -> None:
@@ -401,8 +396,10 @@ def _execute_job(
 
     This is the single simulation seam for both the in-process path and
     supervised workers; the baseline-reuse regression test counts invocations
-    through ``runner.Simulation``.  ``workloads`` (in-process runs only)
-    serves cold starts from the run's shared builds.
+    through ``runner.Simulation``.  ``workloads`` serves the job's build
+    from the run's (or chain's) shared builds: the image a cold start runs
+    on, or the base a resume restores onto.  Without it, a cold start
+    builds its own and a restore rebuilds from the snapshot's origin.
     """
     from ..checkpoint import CheckpointStore, restore as restore_snapshot
 
@@ -422,6 +419,7 @@ def _execute_job(
         prefix = store.prefix_key(job.spec())
     sim = None
     resumed_from: Optional[int] = None
+    built = workloads.take(job) if workloads is not None else None
     if store is not None and resume_ok:
         snapshot = store.best(prefix, job.total_budget())
         if snapshot is not None:
@@ -431,7 +429,11 @@ def _execute_job(
                 else None
             )
             try:
-                sim = restore_snapshot(snapshot)
+                # A failed restore leaves the base untouched, so the cold
+                # run below can still start from it.
+                sim = restore_snapshot(
+                    snapshot, None if built is None else built.memory
+                )
             except CheckpointError as exc:
                 _log.debug("checkpoint restore failed, running cold: %s", exc)
                 if restore_span is not None:
@@ -470,9 +472,7 @@ def _execute_job(
     try:
         if sim is None:
             sim = runner.Simulation(
-                _build_workload(job)
-                if workloads is None
-                else workloads.take(job),
+                built if built is not None else _build_workload(job),
                 job.config,
                 initial_distance_mode=job.initial_distance_mode,
                 fault_plan=job.fault_plan,
@@ -729,13 +729,10 @@ class ExperimentEngine:
                         jobs, pending, outcomes, jkeys, commit
                     )
                 else:
-                    # Only the head of each same-prefix chain is expected
-                    # to start cold: the rest resume from its snapshots.
+                    # Every job takes a build: cold starts run on it and
+                    # resumes restore onto it.
                     workloads = _WorkloadMemo(
-                        [
-                            _source_key(jobs[chain[0]])
-                            for chain in self._chains(jobs, pending)
-                        ]
+                        [_source_key(jobs[index]) for index in pending]
                     )
                     for index in pending:
                         self._journal_event("start", jkeys[index])

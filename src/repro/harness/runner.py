@@ -236,6 +236,26 @@ def build_workload(name: str, seed: int) -> Workload:
         ) from None
 
 
+def build_source(
+    workload: str,
+    scenario: Optional[Dict],
+    trace: Optional[Dict],
+    seed: int,
+) -> Workload:
+    """Build the workload a job source names (the fields of
+    :func:`~repro.workloads.base.source_key`).
+
+    External sources travel as data and are rebuilt here, in whatever
+    process asks: an engine job's cold start, or a snapshot restore
+    rebuilding its memory image from the recorded origin.
+    """
+    if scenario is not None or trace is not None:
+        from ..scenarios import materialize_workload
+
+        return materialize_workload(scenario, trace, seed)
+    return build_workload(workload, seed)
+
+
 class Simulation:
     """One configured run of one workload."""
 

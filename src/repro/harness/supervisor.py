@@ -122,8 +122,11 @@ def _child_main(
     message *as it happens*, so a SIGKILL mid-job — the chaos harness's
     favourite move — cannot lose the telemetry of work already done.
     ``trace`` carries one ``(job_key, attempt)`` pair per job.
+
+    The chain's jobs share one build per source: a multi-budget chain
+    builds its program once and each resume restores onto a copy.
     """
-    from .engine import _worker
+    from .engine import _source_key, _worker, _WorkloadMemo
 
     _maybe_crash_for_test()
     stop = threading.Event()
@@ -153,6 +156,7 @@ def _child_main(
         while len(contexts) < len(jobs):
             contexts.append(TraceContext(sweep_id))
 
+    workloads = _WorkloadMemo([_source_key(job) for job in jobs])
     threading.Thread(target=beat, daemon=True).start()
     try:
         for position, (job, token) in enumerate(zip(jobs, tokens)):
@@ -161,7 +165,8 @@ def _child_main(
             if token == "hang":
                 time.sleep(hang_s)
             outcome = _worker(
-                job, ckpt_root, resume_ok, recorder, contexts[position]
+                job, ckpt_root, resume_ok, recorder, contexts[position],
+                workloads,
             )
             if token == "post":
                 os.kill(os.getpid(), signal.SIGKILL)

@@ -12,7 +12,7 @@ irregular pointer chains.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Set, Union
 
 Number = Union[int, float]
 
@@ -29,11 +29,22 @@ class DataMemory:
     load relies on); plain loads to unmapped addresses also read 0 but the
     event is counted so tests can assert a workload never does it by
     accident.
+
+    A workload builder ends by calling :meth:`mark_built`, which records
+    the memory's **origin** (the source key it can be rebuilt from) and
+    starts tracking which words are written from then on.  A snapshot
+    stores only those words and rebuilds the rest from the origin (see
+    :mod:`repro.checkpoint.snapshot`).
     """
 
     def __init__(self) -> None:
         self._words: Dict[int, Number] = {}
         self.unmapped_reads = 0
+        #: Source key of the build this image came from; None until
+        #: :meth:`mark_built` (such a memory cannot be checkpointed).
+        self.origin: Optional[str] = None
+        #: Word addresses written since :meth:`mark_built`.
+        self._written: Optional[Set[int]] = None
 
     @staticmethod
     def _align(addr: int) -> int:
@@ -53,7 +64,31 @@ class DataMemory:
 
     def write(self, addr: int, value: Number) -> None:
         """Write the word containing byte address ``addr``."""
-        self._words[self._align(addr)] = value
+        addr &= ~(WORD_SIZE - 1)
+        self._words[addr] = value
+        if self._written is not None:
+            self._written.add(addr)
+
+    def mark_built(self, origin: str) -> None:
+        """Record that the build from ``origin`` is complete; writes are
+        tracked from here on."""
+        self.origin = origin
+        self._written = set()
+
+    @property
+    def written(self) -> Set[int]:
+        """Word addresses written since the build (empty before it)."""
+        return self._written or set()
+
+    def apply_writes(
+        self, addrs: List[int], values: List[Number], unmapped_reads: int
+    ) -> None:
+        """Replay a run's written words onto this freshly built image."""
+        words = self._words
+        for addr, value in zip(addrs, values):
+            words[addr] = value
+        self._written = set(addrs)
+        self.unmapped_reads = unmapped_reads
 
     def is_mapped(self, addr: int) -> bool:
         return self._align(addr) in self._words
@@ -66,14 +101,20 @@ class DataMemory:
         clone = DataMemory()
         clone._words = dict(self._words)
         clone.unmapped_reads = self.unmapped_reads
+        clone.origin = self.origin
+        if self._written is not None:
+            clone._written = set(self._written)
         return clone
 
     def write_array(self, base: int, values: Iterable[Number]) -> None:
         """Write consecutive words starting at ``base``."""
         addr = self._align(base)
+        start = addr
         for value in values:
             self._words[addr] = value
             addr += WORD_SIZE
+        if self._written is not None:
+            self._written.update(range(start, addr, WORD_SIZE))
 
 
 class HeapAllocator:

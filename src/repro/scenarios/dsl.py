@@ -44,7 +44,12 @@ from typing import Dict, List, Tuple
 
 from ..errors import ConfigError
 from ..isa.assembler import Assembler
-from ..workloads.base import Workload, counted_loop, new_parts
+from ..workloads.base import (
+    Workload,
+    counted_loop,
+    new_parts,
+    source_key,
+)
 from ..workloads.data import build_array, build_linked_list
 from ..workloads.registry import BENCHMARK_NAMES
 
@@ -369,6 +374,9 @@ class ScenarioSpec:
             close_phase()
         close_outer()
         asm.halt()
+        parts.memory.mark_built(
+            source_key(self.name, self.to_dict(), None, seed)
+        )
         return Workload(
             name=self.name,
             program=asm.build(),

@@ -50,7 +50,12 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from ..memory.mainmem import WORD_SIZE
-from ..workloads.base import Workload, counted_loop, new_parts
+from ..workloads.base import (
+    Workload,
+    counted_loop,
+    new_parts,
+    source_key,
+)
 from ..workloads.registry import BENCHMARK_NAMES
 
 #: One ChampSim input-trace record (little-endian, 64 bytes).
@@ -365,8 +370,9 @@ class TraceSpec:
 
     def build(self, seed: int = 1) -> Workload:
         """Read, verify, and lower the trace.  ``seed`` is accepted for
-        interface parity with scenario builds; lowering is seed-free."""
-        del seed
+        interface parity with scenario builds; lowering is seed-free,
+        but the seed is part of the built memory's origin, as for every
+        other source."""
         digest = _content_hash(self.path)
         if digest != self.sha256:
             raise ConfigError(
@@ -374,4 +380,8 @@ class TraceSpec:
                 f"not match the job spec's {self.sha256[:12]}...; the "
                 "file changed since the job was built"
             )
-        return lower_trace(read_trace(self.path, self.limit), self.name)
+        workload = lower_trace(read_trace(self.path, self.limit), self.name)
+        workload.memory.mark_built(
+            source_key(self.name, None, self.to_dict(), seed)
+        )
+        return workload

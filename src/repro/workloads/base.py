@@ -10,8 +10,10 @@ pattern, which these synthetic programs reproduce.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..isa.assembler import Assembler
 from ..isa.program import Program
@@ -30,6 +32,22 @@ class Workload:
     kind: str
     #: Notes on which paper observations this workload is shaped to show.
     paper_notes: str = ""
+
+
+def source_key(
+    workload: str,
+    scenario: Optional[Dict],
+    trace: Optional[Dict],
+    seed: int,
+) -> str:
+    """The canonical name of one workload build.
+
+    Builds with equal keys are identical (building is deterministic), so
+    the key is both the engine's build-sharing key and a built memory's
+    :attr:`~repro.memory.mainmem.DataMemory.origin`, from which a
+    snapshot's memory image is rebuilt.
+    """
+    return json.dumps([workload, scenario, trace, seed], sort_keys=True)
 
 
 @dataclass

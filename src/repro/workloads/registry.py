@@ -20,7 +20,7 @@ from . import (
     vis,
     wupwise,
 )
-from .base import Workload
+from .base import Workload, source_key
 
 #: Benchmark order as listed in the paper (section 4.2).
 BENCHMARK_NAMES: List[str] = [
@@ -69,7 +69,9 @@ def load_workload(name: str, seed: int = 1) -> Workload:
     except KeyError:
         known = ", ".join(sorted(_BUILDERS))
         raise KeyError(f"unknown workload {name!r}; known: {known}") from None
-    return builder(seed)
+    workload = builder(seed)
+    workload.memory.mark_built(source_key(name, None, None, seed))
+    return workload
 
 
 def all_workload_names() -> List[str]:

@@ -36,6 +36,8 @@ from repro.checkpoint import (
 )
 from repro.config import PrefetchPolicy, SimulationConfig
 from repro.errors import CheckpointError
+from repro.harness import engine as engine_module
+from repro.harness import runner
 from repro.harness.engine import ExperimentEngine, make_job
 from repro.harness.runner import Simulation
 from repro.workloads.registry import BENCHMARK_NAMES
@@ -286,6 +288,7 @@ BAD_PIDS = [
     ("bogus", b""),
     ("set",),
     ("idict", b"\x00" * 8),
+    ("memory", '["wupwise", null, null, 1]'),
     (),
     42,
 ]
@@ -308,13 +311,17 @@ class TestPersistentIdErrors:
             restore(parsed)
 
     def test_version_one_frames_are_unsupported(self, frame):
-        assert FORMAT_VERSION == 2
-        old = Snapshot(header=dict(frame.header, format=1),
-                       payload=frame.payload)
-        with pytest.raises(
-            CheckpointError, match="unsupported checkpoint format 1"
-        ):
-            Snapshot.from_bytes(old.to_bytes())
+        """Format 1 (pure-Python pickler) and format 2 (whole memory
+        images) frames are both refused by this reader."""
+        assert FORMAT_VERSION == 3
+        for version in (1, 2):
+            old = Snapshot(header=dict(frame.header, format=version),
+                           payload=frame.payload)
+            with pytest.raises(
+                CheckpointError,
+                match=f"unsupported checkpoint format {version}",
+            ):
+                Snapshot.from_bytes(old.to_bytes())
 
     def test_engine_runs_cold_off_unknown_persistent_ids(self, tmp_path):
         """A stored snapshot whose payload holds an unknown tag parses,
@@ -358,6 +365,225 @@ class TestPersistentIdErrors:
         assert json.dumps(outcome.result.to_dict()) == json.dumps(
             cold.result.to_dict()
         )
+
+
+#: Programs that store into their data memory, with a (B1, B2) pair at
+#: which they already have: vis only writes after ~16k instructions.
+STORING = {
+    "vis": (16_000, 18_000),
+    "wupwise": (BUDGET, 3_000),
+    "fma3d": (BUDGET, 3_000),
+    "mgrid": (BUDGET, 3_000),
+}
+
+
+def _fresh_base(name: str, seed: int = 1):
+    """A never-written memory image built the way the engine builds."""
+    return runner.build_workload(name, seed).memory
+
+
+def _captured_at(name, b1):
+    """Run ``name`` to ``b1`` and return (sim, its end-of-run snapshot)."""
+    captured = []
+    sim = Simulation(
+        name,
+        SimulationConfig(
+            policy=PrefetchPolicy.SELF_REPAIRING,
+            max_instructions=b1,
+            warmup_instructions=WARMUP,
+        ),
+    )
+    sim.checkpoint_sink = lambda s: bool(captured.append(capture(s))) or True
+    sim.run()
+    return sim, captured[-1]
+
+
+def _cold_dict(name, budget) -> dict:
+    return Simulation(
+        name,
+        SimulationConfig(
+            policy=PrefetchPolicy.SELF_REPAIRING,
+            max_instructions=budget,
+            warmup_instructions=WARMUP,
+        ),
+    ).run().to_dict()
+
+
+class TestMemoryByOrigin:
+    """A snapshot holds the memory's origin plus its written words, and
+    restore replays them onto a fresh build of that origin."""
+
+    def test_memory_image_stays_out_of_the_payload(self):
+        # mcf lays out 960k words and writes none of them; the parent
+        # format packed the whole image (about 2 MB at this budget).
+        sim = Simulation(
+            "mcf",
+            SimulationConfig(
+                policy=PrefetchPolicy.SELF_REPAIRING,
+                max_instructions=8_000,
+                warmup_instructions=4_000,
+            ),
+        )
+        sim.run()
+        snapshot = capture(sim)
+        assert len(sim.workload.memory) > 900_000
+        assert len(snapshot.payload) < 100_000
+        assert snapshot.header["origin"] == ["mcf", None, None, 1]
+
+    @pytest.mark.parametrize("with_base", [True, False],
+                             ids=["base", "rebuild"])
+    @pytest.mark.parametrize("name", sorted(STORING))
+    def test_resume_equals_cold(self, name, with_base):
+        b1, b2 = STORING[name]
+        sim, snapshot = _captured_at(name, b1)
+        assert sim.workload.memory.written, "program must store by B1"
+        base = _fresh_base(name) if with_base else None
+        restored = restore(snapshot, base)
+        if with_base:
+            assert restored.workload.memory is base
+        assert capture(restored).to_bytes() == snapshot.to_bytes()
+        assert restored.workload.memory._words == sim.workload.memory._words
+        assert restored.resume(b2).to_dict() == _cold_dict(name, b2)
+
+    @pytest.mark.parametrize("with_base", [True, False],
+                             ids=["base", "rebuild"])
+    def test_overwrites_and_fresh_addresses_survive(self, with_base):
+        sim = _run_sim("dot", PrefetchPolicy.SELF_REPAIRING)
+        memory = sim.workload.memory
+        built = next(iter(memory._words))
+        absent = max(memory._words) + 8 * 1_000
+        memory.write(built, -7)
+        memory.write(absent, 2.5)
+        memory.read(absent + 8)  # an unmapped read is state too
+        snapshot = capture(sim)
+        restored = restore(snapshot, _fresh_base("dot") if with_base else None)
+        words = restored.workload.memory._words
+        assert words[built] == -7 and words[absent] == 2.5
+        assert words == memory._words
+        assert restored.workload.memory.written == {built, absent}
+        assert restored.workload.memory.unmapped_reads == (
+            memory.unmapped_reads
+        )
+        assert capture(restored).to_bytes() == snapshot.to_bytes()
+
+    def test_mismatched_or_written_base_is_refused_untouched(self):
+        _, snapshot = _captured_at("wupwise", BUDGET)
+        other = _fresh_base("wupwise", seed=2)
+        written = _fresh_base("wupwise")
+        written.write(0x1_0000, 1)
+        for base in (other, written, _fresh_base("mgrid")):
+            words, marks = dict(base._words), set(base.written)
+            with pytest.raises(CheckpointError, match="restore base"):
+                restore(snapshot, base)
+            assert base._words == words and base.written == marks
+
+    def test_failed_restore_leaves_the_base_untouched(self):
+        _, snapshot = _captured_at("wupwise", BUDGET)
+        payload = zlib.decompress(snapshot.payload)
+        cut = zlib.compress(payload[: len(payload) - 40])
+        broken = Snapshot(
+            header=dict(snapshot.header, payload_bytes=len(cut)),
+            payload=cut,
+        )
+        base = _fresh_base("wupwise")
+        words = dict(base._words)
+        with pytest.raises(CheckpointError):
+            restore(broken, base)
+        assert base._words == words and not base.written
+
+    def test_unbuildable_origin_refuses_restore(self):
+        _, snapshot = _captured_at("wupwise", BUDGET)
+        payload = _payload_with_pid(
+            ("memory", '["no-such-program", null, null, 1]', [], [], 0)
+        )
+        forged = Snapshot(
+            header=dict(snapshot.header, payload_bytes=len(payload)),
+            payload=payload,
+        )
+        with pytest.raises(CheckpointError, match="cannot rebuild"):
+            restore(forged)
+
+    def test_originless_memory_is_not_captured(self, tmp_path):
+        workload = runner.build_workload("wupwise", 1)
+        workload.memory.origin = None
+        config = SimulationConfig(
+            policy=PrefetchPolicy.SELF_REPAIRING,
+            max_instructions=BUDGET,
+            warmup_instructions=WARMUP,
+        )
+        sim = Simulation(workload, config)
+        store = CheckpointStore(tmp_path)
+        sim.checkpoint_sink = lambda s: store.save("ab" * 32, s)
+        result = sim.run()
+        with pytest.raises(CheckpointError, match="no build origin"):
+            capture(sim)
+        assert store.committed_counts("ab" * 32) == []
+        assert store.stores == 0
+        assert result.to_dict() == _cold_dict("wupwise", BUDGET)
+
+
+class TestEngineRefusalsRunCold:
+    """Every restore refusal inside the engine ends in a cold run with
+    the cold run's exact result."""
+
+    B1, B2 = 1_000, 2_000
+
+    def _job(self, budget):
+        return make_job(
+            "dot",
+            policy=PrefetchPolicy.SELF_REPAIRING,
+            max_instructions=budget,
+            warmup_instructions=WARMUP,
+        )
+
+    def _seed_store(self, tmp_path):
+        ExperimentEngine(
+            cache=None, checkpoints=CheckpointStore(tmp_path)
+        ).run([self._job(self.B1)], isolate=False)
+        ckpts = list((tmp_path / "checkpoints").rglob("*.ckpt"))
+        assert ckpts
+        return ckpts
+
+    def _assert_runs_cold(self, tmp_path):
+        engine = ExperimentEngine(
+            cache=None, checkpoints=CheckpointStore(tmp_path)
+        )
+        outcome = engine.run([self._job(self.B2)], isolate=False)[0]
+        assert outcome.resumed_from is None
+        assert engine.stats.jobs_resumed == 0
+        assert outcome.result.to_dict() == _cold_dict("dot", self.B2)
+
+    def test_snapshot_of_another_origin(self, tmp_path):
+        ckpts = self._seed_store(tmp_path)
+        # A snapshot whose memory came from another seed's build, filed
+        # under this job's prefix.
+        sim = _run_sim("dot", PrefetchPolicy.SELF_REPAIRING,
+                       max_instructions=self.B1)
+        memory = sim.workload.memory
+        memory.origin = _fresh_base("dot", seed=2).origin
+        foreign = capture(sim)
+        for path in ckpts:
+            path.write_bytes(foreign.to_bytes())
+        self._assert_runs_cold(tmp_path)
+
+    def test_already_written_base(self, tmp_path, monkeypatch):
+        self._seed_store(tmp_path)
+        real_take = engine_module._WorkloadMemo.take
+
+        def take_written(memo, job):
+            workload = real_take(memo, job)
+            memory = workload.memory
+            # Rewrites a built word with its own value: the memory counts
+            # as written, yet the cold run that follows still starts
+            # from the built image.
+            addr = next(iter(memory._words))
+            memory.write(addr, memory._words[addr])
+            return workload
+
+        monkeypatch.setattr(
+            engine_module._WorkloadMemo, "take", take_written
+        )
+        self._assert_runs_cold(tmp_path)
 
 
 def _fake_snapshot(committed: int) -> Snapshot:

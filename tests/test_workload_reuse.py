@@ -1,12 +1,14 @@
-"""One workload build per program per in-process ``ExperimentEngine.run``.
+"""One workload build per program per ``ExperimentEngine.run``.
 
-A figure runs each program under several policies.  The in-process path
-builds each distinct workload source once per ``run()`` call and hands
-every job the shared (read-only) program plus a private copy of the
-built memory words.  These tests pin the contract: one build per
-program, results byte-identical to one engine per job, no memory write
-leaking from one job into the next, and nothing built outliving the
-call.
+A figure runs each program under several policies, and a scaling sweep
+under several budgets.  The in-process path builds each distinct
+workload source once per ``run()`` call and hands every job the shared
+(read-only) program plus a private copy of the built memory words: a
+cold start runs on it, a resume restores its snapshot onto it.  A
+supervised chain does the same over its own jobs.  These tests pin the
+contract: one build per program, results byte-identical to one engine
+per job, no memory write leaking from one job into the next, and
+nothing built outliving the call.
 """
 
 from __future__ import annotations
@@ -127,3 +129,57 @@ def test_nothing_built_outlives_the_run(monkeypatch):
     gc.collect()
     assert len(built) == 3 * len(PROGRAMS)
     assert [ref() for ref in built] == [None] * len(built)
+
+
+#: Three budgets per program: the first starts cold, the other two
+#: resume from the chain's snapshots.
+LADDER = (1_000, 2_000, 3_000)
+
+
+def _ladder_jobs():
+    return [
+        make_job(
+            name, policy=PrefetchPolicy.SELF_REPAIRING,
+            max_instructions=budget, warmup_instructions=400,
+        )
+        for name in PROGRAMS
+        for budget in LADDER
+    ]
+
+
+@pytest.fixture
+def logged_builds(monkeypatch, tmp_path):
+    """Count builtin builds through the builder seam, in this process
+    and in forked workers alike (one line per build in a log file)."""
+    log = tmp_path / "builds.log"
+    real = runner.load_workload
+
+    def logging(name, seed=1):
+        with open(log, "a") as fh:
+            fh.write(name + "\n")
+        return real(name, seed=seed)
+
+    monkeypatch.setattr(runner, "load_workload", logging)
+
+    def counts():
+        names = log.read_text().split() if log.exists() else []
+        return {name: names.count(name) for name in set(names)}
+
+    return counts
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "supervised"])
+def test_budget_chain_builds_once(logged_builds, tmp_path, workers):
+    engine = ExperimentEngine(
+        workers=workers,
+        cache=None,
+        checkpoints=CheckpointStore(tmp_path / "store"),
+    )
+    outcomes = engine.run(_ladder_jobs())
+    assert logged_builds() == {name: 1 for name in PROGRAMS}
+    assert engine.stats.jobs_resumed == len(PROGRAMS) * (len(LADDER) - 1)
+    alone = [
+        ExperimentEngine(cache=None, checkpoints=None).run([job])[0]
+        for job in _ladder_jobs()
+    ]
+    assert [_dumps(o) for o in outcomes] == [_dumps(o) for o in alone]
