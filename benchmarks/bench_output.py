@@ -18,13 +18,15 @@ Record shape::
     }
 
 Besides the per-bench snapshot file, every record is also *appended* to
-``results/BENCH_history.jsonl`` stamped with the wall-clock time and the
-git revision — the longitudinal feed ``tools/bench_trend.py`` turns
-into per-PR trend reports and a perf-regression gate.
+``results/BENCH_history.jsonl`` stamped with the wall-clock time, the
+git revision and a digest of the source tree — the longitudinal feed
+``tools/bench_trend.py`` turns into per-PR trend reports and a
+perf-regression gate.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import platform
@@ -36,6 +38,9 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Append-only longitudinal record: one JSON object per bench run, ever.
 HISTORY_PATH = RESULTS_DIR / "BENCH_history.jsonl"
+
+#: The source tree a history line's ``tree`` digest covers.
+SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
 
 
 def _git_rev() -> Optional[str]:
@@ -53,18 +58,38 @@ def _git_rev() -> Optional[str]:
     return rev or None
 
 
+def source_tree_digest(root: pathlib.Path = SRC_DIR) -> str:
+    """sha256 over the sorted paths and contents of the files under
+    ``root`` (bytecode caches and packaging metadata excluded)."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        parts = path.relative_to(root).parts
+        if not path.is_file() or any(
+            part == "__pycache__" or part.endswith(".egg-info")
+            for part in parts
+        ):
+            continue
+        digest.update("/".join(parts).encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def append_history(record: Dict) -> pathlib.Path:
     """Append one bench record to ``BENCH_history.jsonl``.
 
-    The entry is the record plus ``recorded_at`` (UTC ISO timestamp)
-    and ``git_rev``; the file only ever grows, so the full perf history
-    of the repo is one greppable JSONL stream.
+    The entry is the record plus ``recorded_at`` (UTC ISO timestamp),
+    ``git_rev`` and ``tree``.  ``git_rev`` names HEAD, which is the
+    parent commit while a change is still uncommitted; ``tree`` digests
+    the ``src/`` files actually measured, so a line can be matched to
+    the commit that later contains them.  The file only ever grows, so
+    the full perf history of the repo is one greppable JSONL stream.
     """
     entry = dict(record)
     entry["recorded_at"] = datetime.now(timezone.utc).isoformat(
         timespec="seconds"
     )
     entry["git_rev"] = _git_rev()
+    entry["tree"] = source_tree_digest()
     RESULTS_DIR.mkdir(exist_ok=True)
     with open(HISTORY_PATH, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")

@@ -125,12 +125,11 @@ def _pack_memory(memory: DataMemory):
     if memory.origin is None:
         return None
     addrs = sorted(memory.written)
-    words = memory._words
     return (
         "memory",
         memory.origin,
         addrs,
-        [words[addr] for addr in addrs],
+        list(map(memory.read_quiet, addrs)),  # written words are mapped
         memory.unmapped_reads,
     )
 

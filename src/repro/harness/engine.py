@@ -338,24 +338,23 @@ def _source_key(job: SimJob) -> str:
 
 
 class _WorkloadMemo:
-    """One workload build per source for the jobs of one run or chain.
+    """One workload build per source for the jobs of one run or unit.
 
     Building a data-heavy program (mcf: ~1M memory words) costs far more
     than copying its memory, and a figure runs each program under
     several policies and budgets.  Simulation only ever writes a
     workload's :class:`DataMemory` — the program is read-only — so every
-    job gets the shared program plus a private copy of the built memory
-    words.  A cold start runs on that copy; a resume hands it to
-    ``restore`` as the base image the snapshot's written words are
-    replayed onto.
+    job gets the shared program plus a copy of the built memory.  A copy
+    shares the build's pages until it writes them, so it costs O(pages).
+    A cold start runs on that copy; a resume hands it to ``restore`` as
+    the base image the snapshot's written words are replayed onto.
 
     ``expected`` lists the source key of every job expected to take a
-    build; an entry is dropped when its last expected job takes it
-    (that job gets the built workload itself, uncopied), so at most the
-    sources still ahead stay resident.  A job taking a build again (a
-    transient-failure retry) builds its own.  The memo belongs to one
-    ``ExperimentEngine.run`` call, or to one supervised chain, and dies
-    with it.
+    build; an entry is dropped when its last expected job takes it, so
+    at most the sources still ahead stay resident.  A job taking a build
+    again (a transient-failure retry) builds its own.  The memo belongs
+    to one ``ExperimentEngine.run`` call, or to one supervised unit, and
+    dies with it.
     """
 
     def __init__(self, expected: Sequence[str]) -> None:
@@ -366,14 +365,11 @@ class _WorkloadMemo:
 
     def take(self, job: SimJob) -> Workload:
         key = _source_key(job)
-        uses = self._uses.pop(key, 0)
-        if uses <= 1:
-            built = self._built.pop(key, None)
-            return built if built is not None else _build_workload(job)
-        self._uses[key] = uses - 1
-        built = self._built.get(key)
-        if built is None:
-            built = self._built[key] = _build_workload(job)
+        built = self._built.pop(key, None) or _build_workload(job)
+        uses = self._uses.pop(key, 0) - 1
+        if uses > 0:
+            self._uses[key] = uses
+            self._built[key] = built
         return dataclasses.replace(built, memory=built.memory.copy())
 
 
@@ -842,27 +838,45 @@ class ExperimentEngine:
             job, self._ckpt_root, resume_ok, recorder, context, workloads
         )
 
-    def _chains(
+    def _units(
         self, jobs: Sequence[SimJob], pending: List[int]
     ) -> List[List[int]]:
-        """Group pending job indexes into same-prefix chains.
+        """Group pending job indexes into the supervisor's units.
 
-        Same-prefix jobs become one sequential chain (ascending by
-        budget — ``pending`` is already sorted): each member's end
-        snapshot seeds the next through the on-disk store.  Distinct
-        prefixes still fan out across workers.
+        Same-prefix jobs form one chain, ascending by budget
+        (``pending`` is already sorted): each member's end snapshot
+        seeds the next through the on-disk store.  Chains that start
+        from the same source join one unit, so a worker builds each
+        program once and every job copies that build; with fewer
+        sources than workers, each chain stays its own unit so no
+        worker idles.  Units launch largest first, by summed budget, so
+        the longest does not start last and stretch the tail.
         """
         ckpt_root = self._ckpt_root
-        if ckpt_root is None:
-            return [[index] for index in pending]
-        from ..checkpoint import CheckpointStore
+        store = None
+        if ckpt_root is not None:
+            from ..checkpoint import CheckpointStore
 
-        store = CheckpointStore(ckpt_root)
-        by_prefix: Dict[str, List[int]] = {}
+            store = CheckpointStore(ckpt_root)
+        by_source: Dict[str, Dict] = {}
         for index in pending:
-            prefix = store.prefix_key(jobs[index].spec())
-            by_prefix.setdefault(prefix, []).append(index)
-        return list(by_prefix.values())
+            prefix = (
+                index if store is None
+                else store.prefix_key(jobs[index].spec())
+            )
+            chains = by_source.setdefault(_source_key(jobs[index]), {})
+            chains.setdefault(prefix, []).append(index)
+        groups = [list(chains.values()) for chains in by_source.values()]
+        if len(groups) < self.workers:
+            groups = [[chain] for chains in groups for chain in chains]
+        units = [
+            [index for chain in chains for index in chain]
+            for chains in groups
+        ]
+        units.sort(
+            key=lambda unit: -sum(jobs[i].total_budget() for i in unit)
+        )
+        return units
 
     def _run_supervised(
         self,
@@ -872,30 +886,28 @@ class ExperimentEngine:
         jkeys: Sequence[Optional[str]],
         commit: Callable[[int, Optional[JobOutcome]], None],
     ) -> None:
-        """The multi-process path: chains under the worker supervisor."""
-        chains = self._chains(jobs, pending)
+        """The multi-process path: units under the worker supervisor."""
+        units = self._units(jobs, pending)
         schedule = self._chaos_schedule(
             [jkeys[index] for index in pending]
         )
-        units = [[jobs[index] for index in chain] for chain in chains]
-        unit_keys = [[jkeys[index] for index in chain] for chain in chains]
 
         def on_outcome(unit_id: int, position: int, outcome) -> None:
-            commit(chains[unit_id][position], outcome)
+            commit(units[unit_id][position], outcome)
 
         supervisor = self.supervisor
         before = (supervisor.reclaimed, supervisor.retries,
                   supervisor.quarantined)
         results = supervisor.execute(
-            units,
-            unit_keys,
+            [[jobs[index] for index in unit] for unit in units],
+            [[jkeys[index] for index in unit] for unit in units],
             self._ckpt_root,
             not self.refresh,
             chaos=schedule,
             on_outcome=on_outcome,
         )
-        for chain, chain_results in zip(chains, results):
-            for index, outcome in zip(chain, chain_results):
+        for unit, unit_results in zip(units, results):
+            for index, outcome in zip(unit, unit_results):
                 if outcome is None:
                     outcome = JobOutcome(
                         error=_error_record(

@@ -57,7 +57,7 @@ EVENTS = (
     "sweep",        # sweep metadata (argv); not tied to a job key
     "submit",       # job entered the engine (data carries the job dict)
     "cached",       # replayed from the result cache, no simulation
-    "start",        # dispatched to a worker
+    "start",        # handed to a worker (supervised: data.worker = pid)
     "done",         # result committed
     "failed",       # job-level error record (worker survived)
     "reclaimed",    # worker died or lease expired; job requeued

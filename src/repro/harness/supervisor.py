@@ -1,15 +1,16 @@
 """Supervised worker fleet: heartbeats, wall-time leases, and
-lease-expiry reclamation over per-chain worker processes.
+lease-expiry reclamation over per-unit worker processes.
 
 The supervisor is the engine's only multi-process backend: every
 ``workers > 1`` sweep runs under it, so production sweeps run the same
 recovery code the chaos harness proves.  It is built for a *hostile*
 world — the one the chaos harness creates on purpose — where a worker
 can be SIGKILLed mid-job, hang forever, or die silently between jobs of
-a chain:
+a unit:
 
-* each dispatch is its **own process** holding one chain of same-prefix
-  jobs, reporting per-job results over a pipe as they complete, so a
+* each dispatch is its **own process** holding one unit of jobs (the
+  engine groups them by source, so a worker builds each program once),
+  reporting per-job results over a pipe as they complete, so a
   crash after job k of n loses at most job k+1's attempt (k results are
   already committed parent-side);
 * a daemon thread in the worker sends **heartbeats**; the parent tracks
@@ -23,7 +24,7 @@ a chain:
   with a :class:`~repro.errors.PoisonJobError` record instead of
   wedging the sweep.
 
-The no-failure path pays almost nothing: one fork per chain, one pipe
+The no-failure path pays almost nothing: one fork per unit, one pipe
 message per job, one clock comparison per poll tick — the simulation
 itself dwarfs all of it (the "Helper Without Threads" rule: recovery
 machinery must be cheap when nothing needs recovering).
@@ -110,7 +111,7 @@ def _child_main(
     sweep_id: Optional[str] = None,
     trace: Optional[Sequence] = None,
 ) -> None:
-    """Worker entry: run a chain, streaming per-job outcomes.
+    """Worker entry: run a unit, streaming per-job outcomes.
 
     ``tokens`` is the chaos verdict per job ("pre"/"post" kill, "hang",
     or None); in production runs it is all None.  The heartbeat thread
@@ -123,8 +124,8 @@ def _child_main(
     favourite move — cannot lose the telemetry of work already done.
     ``trace`` carries one ``(job_key, attempt)`` pair per job.
 
-    The chain's jobs share one build per source: a multi-budget chain
-    builds its program once and each resume restores onto a copy.
+    The unit's jobs share one build per source: the worker builds each
+    program once, and every job runs on, or restores onto, a copy.
     """
     from .engine import _source_key, _worker, _WorkloadMemo
 
@@ -196,7 +197,7 @@ class _Handle:
 
 @dataclass
 class _Unit:
-    """One chain of jobs moving through the supervisor."""
+    """One unit of jobs moving through the supervisor."""
 
     jobs: List
     keys: List[str]
@@ -211,7 +212,7 @@ class _Unit:
 
 
 class WorkerSupervisor:
-    """Dispatch chains of jobs to supervised worker processes.
+    """Dispatch units of jobs to supervised worker processes.
 
     Counters are cumulative over the supervisor's life so an engine can
     report fleet health across several ``run()`` calls.
@@ -259,7 +260,7 @@ class WorkerSupervisor:
         chaos=None,
         on_outcome: Optional[Callable[[int, int, object], None]] = None,
     ) -> List[List[object]]:
-        """Run every chain; returns per-unit outcome lists (unit order).
+        """Run every unit; returns per-unit outcome lists (unit order).
 
         ``on_outcome(unit_id, position, outcome)`` fires the moment a
         job's result crosses the pipe — before any other job finishes —
@@ -335,7 +336,9 @@ class WorkerSupervisor:
                 lease_deadline=self._lease_deadline(unit),
                 last_beat=self._clock(),
             )
-            self._journal("start", unit.keys[unit.next_index])
+            self._journal(
+                "start", unit.keys[unit.next_index], worker=proc.pid
+            )
             if self.telemetry is not None:
                 self.telemetry.job_scheduled(
                     unit.keys[unit.next_index],
@@ -447,7 +450,10 @@ class WorkerSupervisor:
                         error=None if payload is None else payload.error,
                     )
                 if not unit.done:
-                    self._journal("start", unit.keys[unit.next_index])
+                    self._journal(
+                        "start", unit.keys[unit.next_index],
+                        worker=handle.proc.pid,
+                    )
                     if self.telemetry is not None:
                         self.telemetry.job_scheduled(
                             unit.keys[unit.next_index],
@@ -471,7 +477,7 @@ class WorkerSupervisor:
 
     def _reclaim(self, handle: _Handle, states, queue, crashed: bool) -> None:
         """A worker died or overstayed its lease: revoke, retry or
-        quarantine, and put the chain's remainder back in play."""
+        quarantine, and put the unit's remainder back in play."""
         from .engine import JobOutcome, _error_record
 
         self._retire(handle)
@@ -521,7 +527,7 @@ class WorkerSupervisor:
             unit.next_index = position + 1
             self.quarantined += 1
             self._journal("quarantined", key, error=outcome.error)
-            unit.ready_at = self._clock()  # rest of the chain is innocent
+            unit.ready_at = self._clock()  # rest of the unit is innocent
         else:
             self.retries += 1
             unit.ready_at = self._clock() + self.retry.delay(attempts, key)

@@ -12,7 +12,8 @@ irregular pointer chains.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Set, Union
+from array import array
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 Number = Union[int, float]
 
@@ -21,14 +22,38 @@ HEAP_BASE = 0x1_0000
 
 WORD_SIZE = 8
 
+#: Words per page of :class:`DataMemory`, and the shifts that split a
+#: byte address into (page number, word index within the page).
+PAGE_WORDS = 512
+_PAGE_SHIFT = 12  # log2(PAGE_WORDS * WORD_SIZE)
+_INDEX_MASK = PAGE_WORDS - 1
+
+#: Per-word tags.  An ``INT`` word's value is in the page's int64 array;
+#: an ``OVERFLOW`` word's (a float, or an int outside int64) is in the
+#: memory's overflow dict; an ``UNMAPPED`` word was never written.
+UNMAPPED, INT, OVERFLOW = 0, 1, 2
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_ZERO_VALUES = array("q", bytes(PAGE_WORDS * WORD_SIZE))
+_INT_TAGS = bytes([INT]) * PAGE_WORDS
+
+Page = Tuple[array, bytearray]
+
 
 class DataMemory:
-    """Sparse word-addressed data memory.
+    """Sparse word-addressed data memory, paged and copy-on-write.
 
     Reads of unmapped addresses return 0 (the behaviour the non-faulting
     load relies on); plain loads to unmapped addresses also read 0 but the
     event is counted so tests can assert a workload never does it by
     accident.
+
+    Words live in pages of :data:`PAGE_WORDS`: an ``array('q')`` of
+    values plus a ``bytearray`` of tags (:data:`UNMAPPED`, :data:`INT`,
+    :data:`OVERFLOW`).  A value that does not fit an int64 slot lives in
+    the overflow dict, keyed by word address.  :meth:`copy` shares every
+    page and copies none; a page is copied on the first write to it by
+    either memory, because a copy leaves both sides owning nothing.
 
     A workload builder ends by calling :meth:`mark_built`, which records
     the memory's **origin** (the source key it can be rebuilt from) and
@@ -38,7 +63,12 @@ class DataMemory:
     """
 
     def __init__(self) -> None:
-        self._words: Dict[int, Number] = {}
+        #: Page number -> page, for every page holding a mapped word.
+        self._pages: Dict[int, Page] = {}
+        #: The pages this memory may write in place: those it created or
+        #: copied since its last :meth:`copy`.  No other memory sees them.
+        self._owned: Dict[int, Page] = {}
+        self._overflow: Dict[int, Number] = {}
         self.unmapped_reads = 0
         #: Source key of the build this image came from; None until
         #: :meth:`mark_built` (such a memory cannot be checkpointed).
@@ -46,28 +76,100 @@ class DataMemory:
         #: Word addresses written since :meth:`mark_built`.
         self._written: Optional[Set[int]] = None
 
-    @staticmethod
-    def _align(addr: int) -> int:
-        return addr & ~(WORD_SIZE - 1)
-
     def read(self, addr: int) -> Number:
         """Read the word containing byte address ``addr``."""
-        word = self._words.get(self._align(addr))
-        if word is None:
-            self.unmapped_reads += 1
-            return 0
-        return word
+        page = self._pages.get(addr >> _PAGE_SHIFT)
+        if page is not None:
+            values, tags = page
+            index = (addr >> 3) & _INDEX_MASK
+            tag = tags[index]
+            if tag == INT:
+                return values[index]
+            if tag:
+                return self._overflow[addr & -WORD_SIZE]
+        self.unmapped_reads += 1
+        return 0
 
     def read_quiet(self, addr: int) -> Number:
         """Read without counting unmapped accesses (non-faulting load)."""
-        return self._words.get(self._align(addr), 0)
+        page = self._pages.get(addr >> _PAGE_SHIFT)
+        if page is not None:
+            values, tags = page
+            index = (addr >> 3) & _INDEX_MASK
+            tag = tags[index]
+            if tag == INT:
+                return values[index]
+            if tag:
+                return self._overflow[addr & -WORD_SIZE]
+        return 0
 
     def write(self, addr: int, value: Number) -> None:
         """Write the word containing byte address ``addr``."""
-        addr &= ~(WORD_SIZE - 1)
-        self._words[addr] = value
+        addr &= -WORD_SIZE
+        page_no = addr >> _PAGE_SHIFT
+        values, tags = self._owned.get(page_no) or self._own(page_no)
+        index = (addr >> 3) & _INDEX_MASK
+        if tags[index] == OVERFLOW:
+            del self._overflow[addr]
+        if type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
+            values[index] = value
+            tags[index] = INT
+        else:
+            self._overflow[addr] = value
+            tags[index] = OVERFLOW
         if self._written is not None:
             self._written.add(addr)
+
+    def _own(self, page_no: int) -> Page:
+        """Make page ``page_no`` private to this memory (a new empty
+        page, or a copy of the shared one) and return it."""
+        shared = self._pages.get(page_no)
+        if shared is None:
+            page = (array("q", _ZERO_VALUES), bytearray(PAGE_WORDS))
+        else:
+            page = (shared[0][:], bytearray(shared[1]))
+        self._pages[page_no] = self._owned[page_no] = page
+        return page
+
+    def write_array(
+        self, base: int, values: Iterable[Number], stride: int = WORD_SIZE
+    ) -> None:
+        """Write ``values[i]`` to the word at ``base + i * stride``
+        (``stride``: a positive multiple of :data:`WORD_SIZE`).
+
+        Plain int64 values land one (strided) page slice at a time, so a
+        builder can lay out an array, or one field of every node, in one
+        call; any other value sends the values through :meth:`write`.
+        """
+        values = list(values)
+        base &= -WORD_SIZE
+        packed = None
+        if set(map(type, values)) <= {int}:
+            try:
+                packed = array("q", values)
+            except OverflowError:
+                pass
+        if packed is None:
+            for offset, value in enumerate(values):
+                self.write(base + offset * stride, value)
+            return
+        step = stride // WORD_SIZE
+        addr, done = base, 0
+        while done < len(values):
+            page_no = addr >> _PAGE_SHIFT
+            page_values, tags = self._owned.get(page_no) or self._own(page_no)
+            index = (addr >> 3) & _INDEX_MASK
+            count = min(len(values) - done, (_INDEX_MASK - index) // step + 1)
+            run = slice(index, index + (count - 1) * step + 1, step)
+            if OVERFLOW in tags[run]:
+                for word in range(addr, addr + count * stride, stride):
+                    self._overflow.pop(word, None)
+            page_values[run] = packed[done : done + count]
+            tags[run] = _INT_TAGS[:count]
+            done += count
+            addr += count * stride
+        if self._written is not None:
+            self._written.update(range(base, addr, stride))
 
     def mark_built(self, origin: str) -> None:
         """Record that the build from ``origin`` is complete; writes are
@@ -84,37 +186,51 @@ class DataMemory:
         self, addrs: List[int], values: List[Number], unmapped_reads: int
     ) -> None:
         """Replay a run's written words onto this freshly built image."""
-        words = self._words
         for addr, value in zip(addrs, values):
-            words[addr] = value
+            self.write(addr, value)
         self._written = set(addrs)
         self.unmapped_reads = unmapped_reads
 
     def is_mapped(self, addr: int) -> bool:
-        return self._align(addr) in self._words
+        page = self._pages.get(addr >> _PAGE_SHIFT)
+        return page is not None and bool(page[1][(addr >> 3) & _INDEX_MASK])
 
     def __len__(self) -> int:
-        return len(self._words)
+        return sum(
+            PAGE_WORDS - tags.count(UNMAPPED)
+            for _, tags in self._pages.values()
+        )
+
+    def words(self) -> Dict[int, Number]:
+        """Every mapped word, ``{address: value}`` in address order (a
+        fresh dict: a read-only view for tests and tools, not the
+        simulator's path)."""
+        out: Dict[int, Number] = {}
+        overflow = self._overflow
+        for page_no in sorted(self._pages):
+            values, tags = self._pages[page_no]
+            base = page_no << _PAGE_SHIFT
+            for index, tag in enumerate(tags):
+                if tag:
+                    addr = base + index * WORD_SIZE
+                    out[addr] = values[index] if tag == INT else overflow[addr]
+        return out
 
     def copy(self) -> "DataMemory":
-        """An independent memory holding the same words."""
+        """An independent memory holding the same words.
+
+        O(pages): both memories keep referencing the same pages and
+        give up owning them, so whichever writes a page first copies it.
+        """
         clone = DataMemory()
-        clone._words = dict(self._words)
+        clone._pages = dict(self._pages)
+        self._owned = {}
+        clone._overflow = dict(self._overflow)
         clone.unmapped_reads = self.unmapped_reads
         clone.origin = self.origin
         if self._written is not None:
             clone._written = set(self._written)
         return clone
-
-    def write_array(self, base: int, values: Iterable[Number]) -> None:
-        """Write consecutive words starting at ``base``."""
-        addr = self._align(base)
-        start = addr
-        for value in values:
-            self._words[addr] = value
-            addr += WORD_SIZE
-        if self._written is not None:
-            self._written.update(range(start, addr, WORD_SIZE))
 
 
 class HeapAllocator:

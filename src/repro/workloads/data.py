@@ -40,7 +40,6 @@ def build_linked_list(
     scramble: bool = False,
     segment: Optional[int] = None,
     pad_words: int = 0,
-    value_init: bool = True,
 ) -> Tuple[int, List[int]]:
     """Build a singly linked list; returns (head address, node addresses).
 
@@ -53,7 +52,9 @@ def build_linked_list(
     * ``segment=k`` — runs of ``k`` sequential nodes with a random jump
       between runs (mcf-like: stride predictable with periodic breaks).
 
-    Node layout: word 0 = next pointer (0 terminates), words 1.. = fields.
+    Node layout: word 0 = next pointer (the last node points back to the
+    head), word ``w`` = ``(position + w) & 0xFFFF`` for the node's
+    position along the chain.  Pad words stay unmapped.
     """
     memory = alloc.memory
     addrs = alloc.alloc_nodes(
@@ -71,12 +72,23 @@ def build_linked_list(
         for start in starts:
             order.extend(range(start, min(start + segment, count)))
     chain = [addrs[i] for i in order]
+    successor = chain[1:] + chain[:1]
+    # One field of every node per write, in placement order.
+    block = min(chain)
+    node_bytes = (node_words + pad_words) * WORD_SIZE
+    position = [0] * count  # chain position of the node in each slot
     for pos, addr in enumerate(chain):
-        nxt = chain[pos + 1] if pos + 1 < len(chain) else chain[0]
-        memory.write(addr, nxt)
-        if value_init:
-            for w in range(1, node_words):
-                memory.write(addr + w * WORD_SIZE, (pos + w) & 0xFFFF)
+        position[(addr - block) // node_bytes] = pos
+    memory.write_array(
+        block, map(successor.__getitem__, position), node_bytes
+    )
+    wrapped = [pos & 0xFFFF for pos in range(count + node_words)]
+    for w in range(1, node_words):
+        memory.write_array(
+            block + w * WORD_SIZE,
+            map(wrapped[w:].__getitem__, position),
+            node_bytes,
+        )
     return chain[0], chain
 
 
@@ -93,17 +105,30 @@ def build_hash_table(
     bucket_base = alloc.alloc_array(buckets)
     total = buckets * chain_length
     addrs = alloc.alloc_nodes(total, node_words, rng=rng, scramble=True)
-    index = 0
-    for b in range(buckets):
-        head = 0
-        for _ in range(chain_length):
-            addr = addrs[index]
-            index += 1
-            memory.write(addr, head)  # next pointer
-            memory.write(addr + WORD_SIZE, rng.randrange(1 << 16))  # key
-            memory.write(addr + 2 * WORD_SIZE, index)  # value
-            head = addr
-        memory.write(bucket_base + b * WORD_SIZE, head)
+    keys = [rng.randrange(1 << 16) for _ in range(total)]
+    # Node i: next (the previous node of its bucket's chain, 0 for the
+    # first), key, value i + 1; word 3 onward stays unmapped.  One field
+    # of every node per write, in placement order.
+    block = min(addrs)
+    node_bytes = node_words * WORD_SIZE
+    node_at = [0] * total  # node index in each slot
+    for index, addr in enumerate(addrs):
+        node_at[(addr - block) // node_bytes] = index
+    memory.write_array(
+        block,
+        [addrs[i - 1] if i % chain_length else 0 for i in node_at],
+        node_bytes,
+    )
+    memory.write_array(
+        block + WORD_SIZE, map(keys.__getitem__, node_at), node_bytes
+    )
+    memory.write_array(
+        block + 2 * WORD_SIZE, [i + 1 for i in node_at], node_bytes
+    )
+    memory.write_array(
+        bucket_base,
+        [addrs[b * chain_length + chain_length - 1] for b in range(buckets)],
+    )
     return bucket_base
 
 
@@ -122,6 +147,7 @@ def build_csr_matrix(
     col_base = alloc.alloc_array(nnz)
     val_base = alloc.alloc_array(nnz)
     x_base = alloc.alloc_array(num_cols)
-    for i in range(nnz):
-        memory.write(col_base + i * WORD_SIZE, rng.randrange(num_cols))
+    memory.write_array(
+        col_base, [rng.randrange(num_cols) for _ in range(nnz)]
+    )
     return col_base, val_base, x_base

@@ -146,3 +146,27 @@ class TestReport:
         series = bench_trend._load_series(history)
         [records] = series.values()
         assert len(records) == 1
+
+
+class TestSourceTreeDigest:
+    def _digest(self, root):
+        sys.path.insert(0, str(_TOOLS.parent / "benchmarks"))
+        try:
+            import bench_output
+        finally:
+            sys.path.pop(0)
+        return bench_output.source_tree_digest(root)
+
+    def test_changes_with_one_source_byte(self, tmp_path):
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        module = package / "mod.py"
+        module.write_text("X = 1\n")
+        before = self._digest(tmp_path / "src")
+        assert self._digest(tmp_path / "src") == before
+        cache = package / "__pycache__"
+        cache.mkdir()
+        (cache / "mod.cpython-311.pyc").write_bytes(b"\0")
+        assert self._digest(tmp_path / "src") == before
+        module.write_text("X = 2\n")
+        assert self._digest(tmp_path / "src") != before

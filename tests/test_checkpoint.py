@@ -442,7 +442,7 @@ class TestMemoryByOrigin:
         if with_base:
             assert restored.workload.memory is base
         assert capture(restored).to_bytes() == snapshot.to_bytes()
-        assert restored.workload.memory._words == sim.workload.memory._words
+        assert restored.workload.memory.words() == sim.workload.memory.words()
         assert restored.resume(b2).to_dict() == _cold_dict(name, b2)
 
     @pytest.mark.parametrize("with_base", [True, False],
@@ -450,16 +450,17 @@ class TestMemoryByOrigin:
     def test_overwrites_and_fresh_addresses_survive(self, with_base):
         sim = _run_sim("dot", PrefetchPolicy.SELF_REPAIRING)
         memory = sim.workload.memory
-        built = next(iter(memory._words))
-        absent = max(memory._words) + 8 * 1_000
+        words = memory.words()
+        built = next(iter(words))
+        absent = max(words) + 8 * 1_000
         memory.write(built, -7)
         memory.write(absent, 2.5)
         memory.read(absent + 8)  # an unmapped read is state too
         snapshot = capture(sim)
         restored = restore(snapshot, _fresh_base("dot") if with_base else None)
-        words = restored.workload.memory._words
+        words = restored.workload.memory.words()
         assert words[built] == -7 and words[absent] == 2.5
-        assert words == memory._words
+        assert words == memory.words()
         assert restored.workload.memory.written == {built, absent}
         assert restored.workload.memory.unmapped_reads == (
             memory.unmapped_reads
@@ -472,10 +473,10 @@ class TestMemoryByOrigin:
         written = _fresh_base("wupwise")
         written.write(0x1_0000, 1)
         for base in (other, written, _fresh_base("mgrid")):
-            words, marks = dict(base._words), set(base.written)
+            words, marks = base.words(), set(base.written)
             with pytest.raises(CheckpointError, match="restore base"):
                 restore(snapshot, base)
-            assert base._words == words and base.written == marks
+            assert base.words() == words and base.written == marks
 
     def test_failed_restore_leaves_the_base_untouched(self):
         _, snapshot = _captured_at("wupwise", BUDGET)
@@ -486,10 +487,10 @@ class TestMemoryByOrigin:
             payload=cut,
         )
         base = _fresh_base("wupwise")
-        words = dict(base._words)
+        words = base.words()
         with pytest.raises(CheckpointError):
             restore(broken, base)
-        assert base._words == words and not base.written
+        assert base.words() == words and not base.written
 
     def test_unbuildable_origin_refuses_restore(self):
         _, snapshot = _captured_at("wupwise", BUDGET)
@@ -576,8 +577,8 @@ class TestEngineRefusalsRunCold:
             # Rewrites a built word with its own value: the memory counts
             # as written, yet the cold run that follows still starts
             # from the built image.
-            addr = next(iter(memory._words))
-            memory.write(addr, memory._words[addr])
+            addr, value = next(iter(memory.words().items()))
+            memory.write(addr, value)
             return workload
 
         monkeypatch.setattr(

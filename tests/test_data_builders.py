@@ -165,3 +165,66 @@ class TestBuildArray:
         _memory, alloc = env
         base = build_array(alloc, 100)
         assert base >= HEAP_BASE
+
+
+def _per_word_linked_list(memory, chain, node_words):
+    """The word-at-a-time layout the bulk builder must reproduce."""
+    for pos, addr in enumerate(chain):
+        memory.write(addr, chain[(pos + 1) % len(chain)])
+        for w in range(1, node_words):
+            memory.write(addr + w * WORD_SIZE, (pos + w) & 0xFFFF)
+
+
+def _per_word_hash_table(alloc, buckets, chain_length, node_words, rng):
+    memory = alloc.memory
+    bucket_base = alloc.alloc_array(buckets)
+    addrs = alloc.alloc_nodes(
+        buckets * chain_length, node_words, rng=rng, scramble=True
+    )
+    index = 0
+    for b in range(buckets):
+        head = 0
+        for _ in range(chain_length):
+            addr = addrs[index]
+            index += 1
+            memory.write(addr, head)
+            memory.write(addr + WORD_SIZE, rng.randrange(1 << 16))
+            memory.write(addr + 2 * WORD_SIZE, index)
+            head = addr
+        memory.write(bucket_base + b * WORD_SIZE, head)
+
+
+class TestBulkLayoutMatchesPerWordWrites:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"scramble": True},
+            {"segment": 16},
+            {"pad_words": 3},
+            {"scramble": True, "pad_words": 1},
+        ],
+        ids=["sequential", "scramble", "segment", "pad", "scramble-pad"],
+    )
+    def test_linked_list(self, kwargs):
+        memory = DataMemory()
+        _, chain = build_linked_list(
+            HeapAllocator(memory), node_words=5, count=70_000 // 5,
+            rng=random.Random(6), **kwargs,
+        )
+        reference = DataMemory()
+        _per_word_linked_list(reference, chain, node_words=5)
+        assert memory.words() == reference.words()
+
+    def test_hash_table(self):
+        memory = DataMemory()
+        build_hash_table(
+            HeapAllocator(memory), buckets=64, chain_length=3,
+            node_words=4, rng=random.Random(7),
+        )
+        reference = DataMemory()
+        _per_word_hash_table(
+            HeapAllocator(reference), buckets=64, chain_length=3,
+            node_words=4, rng=random.Random(7),
+        )
+        assert memory.words() == reference.words()

@@ -106,7 +106,7 @@ def _snapshot(core, memory, hierarchy):
         "halted": core.ctx.halted,
         "cycles": core.cycles,
         "stats": dataclasses.asdict(core.stats),
-        "mem": dict(memory._words),
+        "mem": memory.words(),
         "unmapped_reads": memory.unmapped_reads,
         "mem_stats": dataclasses.asdict(hierarchy.stats),
     }

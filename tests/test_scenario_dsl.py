@@ -135,7 +135,7 @@ class TestCatalog:
         a = CATALOG[name].build(seed=1)
         b = CATALOG[name].build(seed=1)
         assert a.program.instructions == b.program.instructions
-        assert a.memory._words == b.memory._words
+        assert a.memory.words() == b.memory.words()
         assert a.kind == "scenario"
 
     def test_save_load(self, tmp_path):

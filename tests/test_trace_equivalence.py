@@ -72,7 +72,7 @@ def final_state(workload, policy):
     sim.run()
     assert sim.core.ctx.halted
     # Architectural state: registers plus every written memory word.
-    return list(sim.core.ctx.regs), dict(workload.memory._words)
+    return list(sim.core.ctx.regs), workload.memory.words()
 
 
 class TestTraceEquivalence:

@@ -4,11 +4,11 @@ A figure runs each program under several policies, and a scaling sweep
 under several budgets.  The in-process path builds each distinct
 workload source once per ``run()`` call and hands every job the shared
 (read-only) program plus a private copy of the built memory words: a
-cold start runs on it, a resume restores its snapshot onto it.  A
-supervised chain does the same over its own jobs.  These tests pin the
-contract: one build per program, results byte-identical to one engine
-per job, no memory write leaking from one job into the next, and
-nothing built outliving the call.
+cold start runs on it, a resume restores its snapshot onto it.  Under
+the supervisor, a program's jobs form one unit and its worker does the
+same.  These tests pin the contract: one build per program, results
+byte-identical to one engine per job, no memory write leaking from one
+job into the next, and nothing built outliving the call.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def test_memory_writes_stay_private(monkeypatch):
         def __init__(self, workload, *args, **kwargs):
             super().__init__(workload, *args, **kwargs)
             memory = self.workload.memory
-            started.append((self.workload.name, memory, dict(memory._words)))
+            started.append((self.workload.name, memory, memory.words()))
 
     monkeypatch.setattr(runner, "Simulation", Recording)
     outcomes = ExperimentEngine(cache=None, checkpoints=None).run(_jobs())
@@ -102,13 +102,13 @@ def test_memory_writes_stay_private(monkeypatch):
     assert len({id(memory) for _, memory, _ in started}) == len(started)
 
     fresh = {
-        name: dict(runner.load_workload(name).memory._words)
+        name: runner.load_workload(name).memory.words()
         for name in PROGRAMS
     }
     for name, _, initial in started:
         assert list(initial.items()) == list(fresh[name].items())
     # The property is not vacuous: jobs did write their memories.
-    assert any(memory._words != initial for _, memory, initial in started)
+    assert any(memory.words() != initial for _, memory, initial in started)
 
 
 def test_nothing_built_outlives_the_run(monkeypatch):
@@ -183,3 +183,74 @@ def test_budget_chain_builds_once(logged_builds, tmp_path, workers):
         for job in _ladder_jobs()
     ]
     assert [_dumps(o) for o in outcomes] == [_dumps(o) for o in alone]
+
+
+#: A tournament in miniature: the paper's policies and two zoo engines
+#: over three programs.
+TOURNAMENT_PROGRAMS = ("wupwise", "dot", "mgrid")
+TOURNAMENT_POLICIES = ("hw_only", "self_repairing", "ghb_delta",
+                       "adaptive_nextline")
+
+
+def test_supervised_sweep_builds_each_program_once(logged_builds):
+    jobs = [
+        make_job(
+            name, policy=policy, max_instructions=1_500,
+            warmup_instructions=400, group=name,
+        )
+        for name in TOURNAMENT_PROGRAMS
+        for policy in TOURNAMENT_POLICIES
+    ]
+    engine = ExperimentEngine(workers=2, cache=None, checkpoints=None)
+    outcomes = engine.run(jobs)
+    assert logged_builds() == {name: 1 for name in TOURNAMENT_PROGRAMS}
+    assert engine.supervisor.dispatches == len(TOURNAMENT_PROGRAMS)
+    alone = [
+        ExperimentEngine(cache=None, checkpoints=None).run([job])[0]
+        for job in jobs
+    ]
+    assert [_dumps(o) for o in outcomes] == [_dumps(o) for o in alone]
+
+
+def _two_policy_ladder():
+    return [
+        make_job(
+            name, policy=policy, max_instructions=budget,
+            warmup_instructions=400,
+        )
+        for name in PROGRAMS
+        for policy in (PrefetchPolicy.HW_ONLY, PrefetchPolicy.SELF_REPAIRING)
+        for budget in LADDER
+    ]
+
+
+def test_merged_units_keep_each_chains_budget_order(logged_builds, tmp_path):
+    """Both policies' chains of a program share one unit; each chain
+    still runs shortest budget first, so every longer budget resumes."""
+    resumed = {}
+    for workers in (1, 2):
+        engine = ExperimentEngine(
+            workers=workers,
+            cache=None,
+            checkpoints=CheckpointStore(tmp_path / f"store-{workers}"),
+        )
+        outcomes = engine.run(_two_policy_ladder())
+        assert all(outcome.ok for outcome in outcomes)
+        resumed[workers] = engine.stats.jobs_resumed
+    assert resumed[2] == resumed[1] == 2 * len(PROGRAMS) * (len(LADDER) - 1)
+    assert logged_builds() == {name: 2 for name in PROGRAMS}
+
+
+def test_units_group_by_source_and_launch_largest_first():
+    engine = ExperimentEngine(workers=2, cache=None, checkpoints=None)
+    jobs = [
+        make_job(name, policy=policy, max_instructions=budget)
+        for name, budget in (("wupwise", 1_000), ("dot", 5_000),
+                             ("mgrid", 2_000))
+        for policy in (PrefetchPolicy.HW_ONLY, PrefetchPolicy.BASIC)
+    ]
+    units = engine._units(jobs, list(range(len(jobs))))
+    assert units == [[2, 3], [4, 5], [0, 1]]
+    # One program cannot keep two workers busy as one unit: its
+    # chains stay apart.
+    assert engine._units(jobs[:2], [0, 1]) == [[0], [1]]
